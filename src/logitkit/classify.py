@@ -65,7 +65,7 @@ def loocv(data: Dataset, config: FitConfig = FitConfig(), threshold: float = 0.5
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
     if data.n < 2:
         raise ValueError("leave-one-out needs at least two subjects")
-    total_ones = float(np.sum(data.labels))
+    total_ones = float(data.labels.sum())
     if total_ones == 0.0 or total_ones == data.n:
         raise ValueError("both classes must be present in the full data")
 
@@ -74,7 +74,7 @@ def loocv(data: Dataset, config: FitConfig = FitConfig(), threshold: float = 0.5
     non_converged = 0
     for i in range(data.n):
         train = data.without_row(i)
-        ones = float(np.sum(train.labels))
+        ones = float(train.labels.sum())
         if ones == 0.0 or ones == train.n:
             predicted = int(train.labels[0])
             non_converged += 1

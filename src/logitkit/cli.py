@@ -65,7 +65,11 @@ class RunOutput:
 
     def render(self) -> str:
         if self.format == "json":
-            return json.dumps(self.payload, indent=2)
+            try:  # strict JSON: NaN and Infinity are written as null
+                return json.dumps(self.payload, indent=2, allow_nan=False)
+            except ValueError:
+                loose = json.loads(json.dumps(self.payload), parse_constant=lambda _: None)
+                return json.dumps(loose, indent=2)
         if self.kind == "curve":
             return "\n".join(
                 f"{_fmt(p)}\t{_fmt(v)}" for p, v in self.payload["rows"]
@@ -109,30 +113,35 @@ def _parse_number(cell: str, row: int, column: str, require_finite: bool = True)
 
 
 def _read_csv_rows(path: str, delimiter: str, has_header: bool):
+    """Header names, the non-blank records, and their data row numbers (blank
+    rows are skipped but counted, so "row r" is the r-th row after the header)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            raw = [row for row in csv.reader(handle, delimiter=delimiter) if row]
+            raw = list(csv.reader(handle, delimiter=delimiter))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
-    if not raw:
+    records = [row for row in raw if row]
+    if not records:
         raise DataError(f"{path}: file is empty")
+    first = next(i for i, row in enumerate(raw) if row) if has_header else -1
+    numbers = (range(-first, len(raw) - first) if len(records) == len(raw)
+               else [i - first for i, row in enumerate(raw) if row])
     if has_header:
-        names = [cell.strip() for cell in raw[0]]
-        records = raw[1:]
+        names = [cell.strip() for cell in records[0]]
+        records, numbers = records[1:], numbers[1:]
     else:
-        names = [f"col{i}" for i in range(1, len(raw[0]) + 1)]
-        records = raw
+        names = [f"col{i}" for i in range(1, len(records[0]) + 1)]
     if len(set(names)) != len(names):
         raise DataError(f"{path}: duplicate column names in header")
     if not records:
         raise DataError(f"{path}: no data rows")
     width = len(names)
-    for r, record in enumerate(records, start=1):
+    for r, record in zip(numbers, records):
         if len(record) != width:
             raise DataError(f"row {r}: expected {width} cells, got {len(record)}")
-    return names, records
+    return names, records, numbers
 
 
 def ingest(spec: CsvSpec) -> Dataset:
@@ -142,7 +151,7 @@ def ingest(spec: CsvSpec) -> Dataset:
     the column; the label column must parse to exactly 0 or 1. Row order
     is preserved.
     """
-    names, records = _read_csv_rows(spec.path, spec.delimiter, spec.has_header)
+    names, records, numbers = _read_csv_rows(spec.path, spec.delimiter, spec.has_header)
     if spec.label_column not in names:
         raise UsageError(
             f"label column {spec.label_column!r} not found; file has {names}"
@@ -151,7 +160,7 @@ def ingest(spec: CsvSpec) -> Dataset:
 
     labels = []
     label_idx = column_of[spec.label_column]
-    for r, record in enumerate(records, start=1):
+    for r, record in zip(numbers, records):
         cell = record[label_idx].strip()
         value = _parse_number(cell, r, spec.label_column)
         if value not in (0.0, 1.0):
@@ -175,9 +184,9 @@ def ingest(spec: CsvSpec) -> Dataset:
         ]
 
     matrix = np.empty((len(records), len(feature_cols)))
-    for r, record in enumerate(records, start=1):
+    for i, (r, record) in enumerate(zip(numbers, records)):
         for j, name in enumerate(feature_cols):
-            matrix[r - 1, j] = _parse_number(record[column_of[name]].strip(), r, name)
+            matrix[i, j] = _parse_number(record[column_of[name]].strip(), r, name)
     return Dataset.from_features(matrix, labels, feature_cols)
 
 
@@ -330,7 +339,7 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
     if not isinstance(coef, dict) or any(nm not in coef for nm in names):
         raise DataError(f"model file {path}: missing or malformed coef")
     beta = np.array([float(coef[nm]) for nm in names])
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise DataError(f"model file {path}: coefficients must be finite")
     return names, beta
 
@@ -348,16 +357,16 @@ def cmd_predict(
     if not 0.0 < threshold < 1.0:
         raise UsageError(f"threshold must lie strictly inside (0, 1), got {threshold}")
     names, beta = _load_model(model_path)
-    file_names, records = _read_csv_rows(csv_path, delimiter, has_header)
+    file_names, records, numbers = _read_csv_rows(csv_path, delimiter, has_header)
     column_of = {name: j for j, name in enumerate(file_names)}
     missing = [c for c in names[1:] if c not in column_of]
     if missing:
         raise DataError(f"{csv_path}: model feature columns not found: {missing}")
     matrix = np.empty((len(records), len(names)))
     matrix[:, 0] = 1.0
-    for r, record in enumerate(records, start=1):
+    for i, (r, record) in enumerate(zip(numbers, records)):
         for j, name in enumerate(names[1:], start=1):
-            matrix[r - 1, j] = _parse_number(record[column_of[name]].strip(), r, name)
+            matrix[i, j] = _parse_number(record[column_of[name]].strip(), r, name)
     scores = matrix @ beta
     probabilities = logistic(scores)
     labels = (scores > logit(threshold)).astype(int)

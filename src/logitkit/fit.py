@@ -1,14 +1,18 @@
 """Maximum-likelihood fitting by full Newton steps (IRLS), with analytic
-gradient, observed information, and the asymptotic covariance of the MLE."""
+gradient, observed information, and the asymptotic covariance of the MLE.
+
+The data were validated when the Dataset was built, so `fit_irls` runs the
+private kernels on its arrays; solve_psd and pinv_psd still check each system."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, log_likelihood, logistic
+from .model import Dataset, _log_lik, _logistic
 from .numerics import pinv_psd, solve_psd
 
 
@@ -63,11 +67,22 @@ class FitResult:
         return self.status is FitStatus.CONVERGED
 
 
+def _state(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    # (scores X beta, pi, score vector X'(y - pi)); ValueError on a non-finite beta or score
+    if not (np.isfinite(beta).all() and np.isfinite(scores := x @ beta).all()):
+        raise ValueError("logistic requires finite input")
+    pi = _logistic(scores)
+    return scores, pi, x.T @ (y - pi)
+
+
+def _information(x: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    # X'SX with S = diag(pi_i (1 - pi_i))
+    return x.T @ (x * (pi * (1.0 - pi))[:, None])
+
+
 def gradient(data: Dataset, coef) -> np.ndarray:
     """Score vector g = X'(y - pi)."""
-    beta = data.check_coef(coef)
-    pi = logistic(data.design @ beta)
-    return data.design.T @ (data.labels - pi)
+    return _state(data.design, data.labels, data.check_coef(coef))[2]
 
 
 def neg_hessian(data: Dataset, coef) -> np.ndarray:
@@ -76,10 +91,8 @@ def neg_hessian(data: Dataset, coef) -> np.ndarray:
     This is the negative Hessian of the log-likelihood, symmetric positive
     semidefinite at every beta.
     """
-    beta = data.check_coef(coef)
-    pi = logistic(data.design @ beta)
-    weights = pi * (1.0 - pi)
-    return data.design.T @ (data.design * weights[:, None])
+    pi = _state(data.design, data.labels, data.check_coef(coef))[1]
+    return _information(data.design, pi)
 
 
 def covariance(data: Dataset, coef) -> np.ndarray:
@@ -106,49 +119,36 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     x = data.design
     y = data.labels
     beta = np.zeros(data.n_coef)
-    prev_beta = beta
+    state = _state(x, y, beta)
     iterations = 0
-    while True:
-        scores = x @ beta if np.all(np.isfinite(beta)) else None
-        if scores is None or not np.all(np.isfinite(scores)):
-            beta = prev_beta
-            scores = x @ beta
-            status = FitStatus.DIVERGED
-            break
-        pi = logistic(scores)
-        grad = x.T @ (y - pi)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= config.grad_tol:
-            status = FitStatus.CONVERGED
-            break
-        if float(np.linalg.norm(beta)) > config.divergence_norm:
-            status = FitStatus.DIVERGED
-            break
-        if iterations >= config.max_iter:
-            status = FitStatus.MAX_ITERATIONS
-            break
-        weights = pi * (1.0 - pi)
-        with np.errstate(over="ignore"):  # overflow handled as divergence
-            info = x.T @ (x * weights[:, None])
-        if not np.all(np.isfinite(info)):
-            status = FitStatus.DIVERGED
-            break
-        prev_beta = beta
-        beta = beta + solve_psd(info, grad)
-        iterations += 1
-
-    pi = logistic(x @ beta)
-    grad = x.T @ (y - pi)
-    grad_norm = float(np.linalg.norm(grad))
-    log_lik = log_likelihood(data, beta)
-    weights = pi * (1.0 - pi)
-    with np.errstate(over="ignore"):
-        info = x.T @ (x * weights[:, None])
-    if np.all(np.isfinite(info)):
-        cov = pinv_psd(info)
-    else:
-        cov = np.full((data.n_coef, data.n_coef), np.nan)
-    std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(over="ignore"):  # overflow surfaces as non-finite values: Diverged
+        while True:
+            grad = state[2]
+            grad_norm = math.sqrt(grad @ grad)
+            if grad_norm <= config.grad_tol:
+                status = FitStatus.CONVERGED
+                break
+            if math.sqrt(beta @ beta) > config.divergence_norm:
+                status = FitStatus.DIVERGED
+                break
+            if iterations >= config.max_iter:
+                status = FitStatus.MAX_ITERATIONS
+                break
+            info = _information(x, state[1])
+            if not np.isfinite(info).all():
+                status = FitStatus.DIVERGED
+                break
+            step = beta + solve_psd(info, grad)
+            iterations += 1
+            try:
+                state = _state(x, y, step)
+            except ValueError:  # roll back to the last finite iterate
+                status = FitStatus.DIVERGED
+                break
+            beta = step
+        info = _information(x, state[1])
+    cov = pinv_psd(info) if np.isfinite(info).all() else np.full(info.shape, np.nan)
+    log_lik = _log_lik(y, state[0])
     return FitResult(
         coef=beta,
         log_lik=log_lik,
@@ -157,5 +157,5 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         iterations=iterations,
         status=status,
         covariance=cov,
-        std_errors=std_errors,
+        std_errors=np.sqrt(np.clip(np.diag(cov), 0.0, None)),
     )

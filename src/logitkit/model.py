@@ -10,23 +10,24 @@ import numpy as np
 from .numerics import as_matrix, as_vector
 
 
+def _logistic(s):
+    # 1 / (1 + exp(-s)) for s >= 0 and exp(s) / (1 + exp(s)) below: the roundings
+    # of branching on the sign without masked gathers, and exp cannot overflow
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
+
+
 def logistic(t):
     """Logistic map t -> 1 / (1 + exp(-t)).
 
-    Branches on the sign of t so the exponential never overflows; accepts
-    a scalar or an array and returns the matching shape.
+    Evaluated so the exponential never overflows; accepts a scalar or an
+    array and returns the matching shape.
     """
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("logistic requires finite input")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    out = _logistic(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def logit(p):
@@ -37,15 +38,16 @@ def logit(p):
     arr = np.asarray(p, dtype=float)
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)
-    if np.any(bad):
+    if bad.any():
         raise ValueError("logit requires 0 < p < 1")
     out = np.log(arr) - np.log1p(-arr)
     return float(out) if out.ndim == 0 else out
 
 
-def _softplus(s: np.ndarray) -> np.ndarray:
-    # log(1 + exp(s)) without overflow for |s| beyond ~700
-    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+def _log_lik(labels: np.ndarray, scores: np.ndarray) -> float:
+    # sum_i [y_i s_i - log(1 + exp(s_i))], the softplus kept finite for |s| > ~700
+    softplus = np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
+    return float(labels @ scores - softplus.sum())
 
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
@@ -60,8 +62,10 @@ class Dataset:
 
     The intercept column is materialized at construction (the classic
     ``X = [ones(n,1) X]`` prepend) so every matrix formula stays literal.
-    Labels outside {0, 1} are rejected, never coerced. Instances are
-    immutable after construction and safe to share across threads.
+    The data are validated here, once, and coefficients in `check_coef`, so
+    the private kernels trust their input. Non-finite cells and labels
+    outside {0, 1} are rejected, never coerced. Instances are immutable
+    after construction and safe to share across threads.
     """
 
     design: np.ndarray
@@ -70,7 +74,7 @@ class Dataset:
 
     def __post_init__(self):
         design = as_matrix(self.design, "design")
-        if not np.all(design[:, 0] == 1.0):
+        if not (design[:, 0] == 1.0).all():
             raise ValueError("first design column must be the intercept (all ones)")
         labels = np.asarray(self.labels, dtype=float).reshape(-1)
         if labels.shape[0] != design.shape[0]:
@@ -78,7 +82,7 @@ class Dataset:
                 f"design has {design.shape[0]} rows but labels has "
                 f"{labels.shape[0]} entries"
             )
-        if not np.all((labels == 0.0) | (labels == 1.0)):
+        if not ((labels == 0.0) | (labels == 1.0)).all():
             raise ValueError("labels must contain only 0 or 1")
         names = tuple(self.feature_names)
         if not names:
@@ -168,6 +172,4 @@ def log_likelihood(data: Dataset, coef) -> float:
     Computed in the numerically stable form sum_i [y_i s_i - softplus(s_i)]
     with s_i = x_i . beta, so saturated scores never hit log(0). Always <= 0.
     """
-    beta = data.check_coef(coef)
-    scores = data.design @ beta
-    return float(data.labels @ scores - np.sum(_softplus(scores)))
+    return _log_lik(data.labels, data.design @ data.check_coef(coef))

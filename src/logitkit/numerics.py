@@ -2,7 +2,8 @@
 
 Matrices and vectors are plain float64 numpy arrays (row-major, dense);
 problem sizes here are a handful of regressors, so there is no sparse
-path. All functions are pure and safe to call concurrently.
+path. All functions are pure and safe to call concurrently. Each public
+function validates its arguments on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -38,28 +39,27 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def _check_square_symmetric(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric within tolerance")
-
-
-def _truncated_inverse_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix and invert its nonzero spectrum.
+def _inverse_eigs(a) -> tuple[np.ndarray, np.ndarray]:
+    """Check that a is a finite, square, symmetric matrix, eigendecompose it
+    and invert its nonzero spectrum.
 
     Eigenvalues below max(dim) * eps * |lambda|_max count as exact zeros,
     matching the MATLAB pinv default, so rank-deficient systems get
     minimum-norm solutions instead of noise amplification.
     """
+    a = as_matrix(a, "a")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    scale = float(np.abs(a).max())
+    if float(np.abs(a - a.T).max()) > _SYM_RTOL * max(scale, 1e-300):
+        raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
-    cutoff = max(a.shape) * _EPS * float(np.max(np.abs(eigvals)))
+    cutoff = max(a.shape) * _EPS * float(np.abs(eigvals).max())
     inv = np.zeros_like(eigvals)
     keep = np.abs(eigvals) > cutoff
     inv[keep] = 1.0 / eigvals[keep]
@@ -73,15 +73,13 @@ def solve_psd(a, b) -> np.ndarray:
     minimum-norm solution (pseudoinverse semantics). Deterministic for
     identical inputs.
     """
-    a = as_matrix(a, "a")
+    inv, eigvecs = _inverse_eigs(a)
     b = as_vector(b, "b")
-    _check_square_symmetric(a)
-    if b.shape[0] != a.shape[0]:
+    if b.shape[0] != inv.shape[0]:
         raise ValueError(
-            f"dimension mismatch: matrix is {a.shape[0]}x{a.shape[1]}, "
+            f"dimension mismatch: matrix is {inv.shape[0]}x{inv.shape[0]}, "
             f"vector has length {b.shape[0]}"
         )
-    inv, eigvecs = _truncated_inverse_eigs(a)
     return eigvecs @ (inv * (eigvecs.T @ b))
 
 
@@ -91,9 +89,7 @@ def pinv_psd(a) -> np.ndarray:
     Same spectral truncation as solve_psd; the result is symmetrized so
     roundoff cannot leak asymmetry into downstream covariance matrices.
     """
-    a = as_matrix(a, "a")
-    _check_square_symmetric(a)
-    inv, eigvecs = _truncated_inverse_eigs(a)
+    inv, eigvecs = _inverse_eigs(a)
     pinv = (eigvecs * inv) @ eigvecs.T
     return 0.5 * (pinv + pinv.T)
 
@@ -140,9 +136,11 @@ def _upper_gamma_cf(a: float, x: float) -> float:
 def chi2_sf(x, df) -> float:
     """Survival function 1 - CDF of the chi-square distribution.
 
-    Evaluated as the regularized upper incomplete gamma Q(df/2, x/2): a
-    lower power series when x/2 < df/2 + 1 and a continued fraction
-    otherwise, the standard split that converges on both branches.
+    Evaluated as the regularized upper incomplete gamma Q(df/2, x/2). For
+    df = 1 that is the closed form erfc(sqrt(x/2)) (Abramowitz & Stegun
+    1964, section 6.5); otherwise a lower power series when x/2 < df/2 + 1
+    and a continued fraction beyond, the standard split that converges on
+    both branches.
 
     Parameters
     ----------
@@ -159,6 +157,8 @@ def chi2_sf(x, df) -> float:
         raise ValueError(f"chi2_sf requires finite x >= 0, got {x}")
     if x == 0.0:
         return 1.0
+    if df == 1:
+        return math.erfc(math.sqrt(0.5 * x))
     a = 0.5 * df
     half = 0.5 * x
     if half < a + 1.0:
