@@ -126,8 +126,7 @@ def _read_csv_rows(path: str, delimiter: str, has_header: bool):
     if not records:
         raise DataError(f"{path}: file is empty")
     first = next(i for i, row in enumerate(raw) if row) if has_header else -1
-    numbers = (range(-first, len(raw) - first) if len(records) == len(raw)
-               else [i - first for i, row in enumerate(raw) if row])
+    numbers = [i - first for i, row in enumerate(raw) if row]
     if has_header:
         names = [cell.strip() for cell in records[0]]
         records, numbers = records[1:], numbers[1:]

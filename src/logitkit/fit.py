@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, _log_lik, _logistic
+from .model import Dataset, _log_lik, _logistic, logistic
 from .numerics import pinv_psd, solve_psd
 
 
@@ -91,7 +91,7 @@ def neg_hessian(data: Dataset, coef) -> np.ndarray:
     This is the negative Hessian of the log-likelihood, symmetric positive
     semidefinite at every beta.
     """
-    pi = _state(data.design, data.labels, data.check_coef(coef))[1]
+    pi = logistic(data.design @ data.check_coef(coef))  # checks the scores; no score vector
     return _information(data.design, pi)
 
 
