@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,14 +101,14 @@ def _flatten(obj, prefix: str = ""):
         yield prefix, obj
 
 
-def _parse_number(cell: str, row: int, column: str, require_finite: bool = True) -> float:
+def _parse_number(cell: str, row: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise DataError(
             f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
         ) from None
-    if require_finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"row {row}, column {column!r}: value must be finite, got {cell!r}")
     return value
 
@@ -122,7 +123,7 @@ def _read_csv_rows(path: str, delimiter: str, has_header: bool):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
-    records = [row for row in raw if row]
+    records = list(filter(None, raw))
     if not records:
         raise DataError(f"{path}: file is empty")
     first = next(i for i, row in enumerate(raw) if row) if has_header else -1
@@ -137,10 +138,38 @@ def _read_csv_rows(path: str, delimiter: str, has_header: bool):
     if not records:
         raise DataError(f"{path}: no data rows")
     width = len(names)
-    for r, record in zip(numbers, records):
-        if len(record) != width:
-            raise DataError(f"row {r}: expected {width} cells, got {len(record)}")
+    if set(map(len, records)) != {width}:
+        for r, record in zip(numbers, records):
+            if len(record) != width:
+                raise DataError(f"row {r}: expected {width} cells, got {len(record)}")
     return names, records, numbers
+
+
+def _parse_column(records, j: int, out: np.ndarray) -> bool:
+    """Parse cell j of every record into `out` with float(), which strips what
+    str.strip() strips; True when every cell gives a finite number."""
+    try:
+        out[:] = np.fromiter(map(float, map(itemgetter(j), records)), float, len(records))
+    except ValueError:
+        return False
+    return bool(np.isfinite(out).all())
+
+
+def _design_matrix(records, numbers, columns, drop_bad: bool = False):
+    """The intercept column and the (name, index) `columns`, each parsed once,
+    plus the names kept. With drop_bad a column with a bad cell is left out;
+    otherwise a row-major rescan raises the DataError of the first bad cell."""
+    matrix = np.empty((len(records), 1 + len(columns)))
+    matrix[:, 0] = 1.0
+    kept = []
+    for name, j in columns:
+        if _parse_column(records, j, matrix[:, 1 + len(kept)]):
+            kept.append(name)
+        elif not drop_bad:
+            for r, record in zip(numbers, records):
+                for bad_name, bad_j in columns:
+                    _parse_number(record[bad_j].strip(), r, bad_name)
+    return matrix[:, : 1 + len(kept)], kept
 
 
 def ingest(spec: CsvSpec) -> Dataset:
@@ -157,43 +186,27 @@ def ingest(spec: CsvSpec) -> Dataset:
         )
     column_of = {name: j for j, name in enumerate(names)}
 
-    labels = []
+    labels = np.empty(len(records))
     label_idx = column_of[spec.label_column]
-    for r, record in zip(numbers, records):
-        cell = record[label_idx].strip()
-        value = _parse_number(cell, r, spec.label_column)
-        if value not in (0.0, 1.0):
-            raise DataError(
-                f"row {r}, column {spec.label_column!r}: label must be 0 or 1, "
-                f"got {cell!r}"
-            )
-        labels.append(value)
+    parsed = _parse_column(records, label_idx, labels)
+    if not (parsed and ((labels == 0.0) | (labels == 1.0)).all()):
+        for r, record in zip(numbers, records):
+            cell = record[label_idx].strip()
+            if _parse_number(cell, r, spec.label_column) not in (0.0, 1.0):
+                raise DataError(
+                    f"row {r}, column {spec.label_column!r}: label must be 0 or 1, "
+                    f"got {cell!r}"
+                )
 
     if spec.feature_columns is not None:
-        feature_cols = list(spec.feature_columns)
-        missing = [c for c in feature_cols if c not in column_of]
+        missing = [c for c in spec.feature_columns if c not in column_of]
         if missing:
             raise UsageError(f"feature columns not found: {missing}")
+        columns = [(name, column_of[name]) for name in spec.feature_columns]
     else:
-        feature_cols = [
-            name
-            for name in names
-            if name != spec.label_column
-            and all(_is_finite_number(rec[column_of[name]]) for rec in records)
-        ]
-
-    matrix = np.empty((len(records), len(feature_cols)))
-    for i, (r, record) in enumerate(zip(numbers, records)):
-        for j, name in enumerate(feature_cols):
-            matrix[i, j] = _parse_number(record[column_of[name]].strip(), r, name)
-    return Dataset.from_features(matrix, labels, feature_cols)
-
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell.strip()))
-    except ValueError:
-        return False
+        columns = [(name, j) for j, name in enumerate(names) if name != spec.label_column]
+    design, kept = _design_matrix(records, numbers, columns, spec.feature_columns is None)
+    return Dataset(design, labels, ("intercept", *kept))
 
 
 def _fit_payload(result: FitResult, names) -> dict:
@@ -361,21 +374,20 @@ def cmd_predict(
     missing = [c for c in names[1:] if c not in column_of]
     if missing:
         raise DataError(f"{csv_path}: model feature columns not found: {missing}")
-    matrix = np.empty((len(records), len(names)))
-    matrix[:, 0] = 1.0
-    for i, (r, record) in enumerate(zip(numbers, records)):
-        for j, name in enumerate(names[1:], start=1):
-            matrix[i, j] = _parse_number(record[column_of[name]].strip(), r, name)
-    scores = matrix @ beta
-    probabilities = logistic(scores)
-    labels = (scores > logit(threshold)).astype(int)
+    columns = [(name, column_of[name]) for name in names[1:]]
+    matrix = _design_matrix(records, numbers, columns)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = matrix @ beta
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DataError(f"row {numbers[finite.argmin()]}: score x·beta is not finite")
     return RunOutput(
         out,
         {
             "feature_names": list(names),
             "threshold": threshold,
-            "probabilities": [float(p) for p in probabilities],
-            "labels": [int(v) for v in labels],
+            "probabilities": logistic(scores).tolist(),
+            "labels": (scores > logit(threshold)).astype(int).tolist(),
         },
         "predict",
     )

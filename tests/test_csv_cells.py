@@ -1,0 +1,328 @@
+"""Which CSV cells the command line accepts, which error a bad file reports,
+and parity of `ingest` / `cmd_predict` with a row-major reference parse."""
+
+import csv
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import logitkit
+from logitkit import Dataset, logistic, logit
+from logitkit.cli import CsvSpec, DataError, cmd_predict, ingest, main
+
+# each accepted cell with the value Python float() gives it
+ACCEPTED = {
+    " 1.5 ": 1.5,
+    "\t2\t": 2.0,
+    " 3 ": 3.0,
+    "1_000": 1000.0,
+    "+.5": 0.5,
+    "1e5": 1e5,
+    "1E-3": 1e-3,
+    "١٢٣": 123.0,
+    "４２": 42.0,
+    "-0": -0.0,
+}
+UNPARSEABLE = ["_1", "1_", "0x10", "", "abc", " 1 2 "]
+NON_FINITE = ["nan", "inf", "-inf", "1e400", " nan "]
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def data_error(call) -> str:
+    with pytest.raises(DataError) as info:
+        call()
+    return str(info.value)
+
+
+class TestAcceptedCells:
+    @pytest.mark.parametrize("cell", list(ACCEPTED))
+    def test_explicit_feature(self, tmp_path, cell):
+        path = write(tmp_path, "ok.csv", f"y,x\n1,{cell}\n0,2\n")
+        data = ingest(CsvSpec(path, feature_columns=("x",)))
+        assert data.design[:, 1].tobytes() == np.array([ACCEPTED[cell], 2.0]).tobytes()
+
+    @pytest.mark.parametrize("cell", list(ACCEPTED))
+    def test_auto_detection_keeps_column(self, tmp_path, cell):
+        path = write(tmp_path, "ok.csv", f"y,x,z\n1,{cell},1\n0,2,oops\n")
+        data = ingest(CsvSpec(path))
+        assert data.feature_names == ("intercept", "x")
+        assert data.design[:, 1].tobytes() == np.array([ACCEPTED[cell], 2.0]).tobytes()
+
+    @pytest.mark.parametrize("cell", ["0", "1", " 1 ", "1.0", "-0", "0e0", "١"])
+    def test_label(self, tmp_path, cell):
+        path = write(tmp_path, "ok.csv", f"y,x\n{cell},1\n")
+        assert ingest(CsvSpec(path)).labels[0] == float(cell)
+
+    @pytest.mark.parametrize("cell", list(ACCEPTED))
+    def test_predict(self, tmp_path, cell):
+        model = write(tmp_path, "model.json", json.dumps(
+            {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.0, "x": 1.0}}))
+        path = write(tmp_path, "new.csv", f"x\n{cell}\n")
+        payload = cmd_predict(model, path).payload
+        assert payload["probabilities"] == [logistic(ACCEPTED[cell])]
+
+
+class TestRejectedCells:
+    @pytest.mark.parametrize("cell", UNPARSEABLE)
+    def test_unparseable_explicit_feature(self, tmp_path, cell):
+        path = write(tmp_path, "bad.csv", f"y,x\n0,1\n1,{cell}\n")
+        message = data_error(lambda: ingest(CsvSpec(path, feature_columns=("x",))))
+        assert message == f"row 2, column 'x': cannot parse {cell.strip()!r} as a number"
+
+    @pytest.mark.parametrize("cell", NON_FINITE)
+    def test_non_finite_explicit_feature(self, tmp_path, cell):
+        path = write(tmp_path, "bad.csv", f"y,x\n0,1\n1,{cell}\n")
+        message = data_error(lambda: ingest(CsvSpec(path, feature_columns=("x",))))
+        assert message == f"row 2, column 'x': value must be finite, got {cell.strip()!r}"
+
+    @pytest.mark.parametrize("cell", UNPARSEABLE + NON_FINITE)
+    def test_auto_detection_drops_column(self, tmp_path, cell):
+        path = write(tmp_path, "bad.csv", f"y,x,z\n0,1,5\n1,{cell},6\n")
+        data = ingest(CsvSpec(path))
+        assert data.feature_names == ("intercept", "z")
+        assert np.array_equal(data.design[:, 1], [5.0, 6.0])
+
+    @pytest.mark.parametrize("cell", UNPARSEABLE + NON_FINITE + ["2", "0.5", "-1"])
+    def test_label(self, tmp_path, cell):
+        path = write(tmp_path, "bad.csv", f"y,x\n0,1\n{cell},2\n")
+        message = data_error(lambda: ingest(CsvSpec(path)))
+        stripped = cell.strip()
+        if cell in UNPARSEABLE:
+            assert message == f"row 2, column 'y': cannot parse {stripped!r} as a number"
+        elif cell in NON_FINITE:
+            assert message == f"row 2, column 'y': value must be finite, got {stripped!r}"
+        else:
+            assert message == f"row 2, column 'y': label must be 0 or 1, got {stripped!r}"
+
+    @pytest.mark.parametrize("cell", ["abc", "inf"])
+    def test_predict(self, tmp_path, cell):
+        model = write(tmp_path, "model.json", json.dumps(
+            {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.0, "x": 1.0}}))
+        path = write(tmp_path, "new.csv", f"x\n1\n\n{cell}\n")
+        assert data_error(lambda: cmd_predict(model, path)).startswith("row 3, column 'x': ")
+
+
+class TestErrorPrecedence:
+    def test_later_bad_label_outranks_earlier_bad_feature(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "y,x\n1,abc\n0,1\n5,2\n")
+        message = data_error(lambda: ingest(CsvSpec(path, feature_columns=("x",))))
+        assert message == "row 3, column 'y': label must be 0 or 1, got '5'"
+
+    def test_lower_row_wins_across_columns(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "y,x,z\n1,1,1\n0,1,bad\n1,bad,1\n")
+        message = data_error(lambda: ingest(CsvSpec(path, feature_columns=("x", "z"))))
+        assert message == "row 2, column 'z': cannot parse 'bad' as a number"
+
+    def test_feature_order_breaks_ties_within_a_row(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "y,x,z\n1,inf,bad\n")
+        message = data_error(lambda: ingest(CsvSpec(path, feature_columns=("z", "x"))))
+        assert message == "row 1, column 'z': cannot parse 'bad' as a number"
+
+    def test_predict_lower_row_wins_across_columns(self, tmp_path):
+        model = write(tmp_path, "model.json", json.dumps(
+            {"feature_names": ["intercept", "x", "z"],
+             "coef": {"intercept": 0.0, "x": 1.0, "z": 1.0}}))
+        path = write(tmp_path, "new.csv", "x,z\n1,1\n1,nan\nbad,1\n")
+        message = data_error(lambda: cmd_predict(model, path))
+        assert message == "row 2, column 'z': value must be finite, got 'nan'"
+
+    def test_bad_width_counts_blank_rows(self, tmp_path):
+        path = write(tmp_path, "bad.csv", "\ny,x\n1,1\n\n\n0,1,2\n1,2\n")
+        assert data_error(lambda: ingest(CsvSpec(path))) == "row 4: expected 2 cells, got 3"
+
+
+class TestPredictOverflow:
+    def test_non_finite_score_is_a_data_error(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(
+            {"feature_names": ["intercept", "x"], "coef": {"intercept": 0, "x": 1e10}}))
+        path = write(tmp_path, "new.csv", "x\n1\n1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", path, "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 2: score x·beta is not finite\n"
+
+    def test_opposite_infinities_name_their_row(self, tmp_path):
+        model = write(tmp_path, "model.json", json.dumps(
+            {"feature_names": ["intercept", "x", "z"],
+             "coef": {"intercept": 0, "x": 1e10, "z": -1e10}}))
+        path = write(tmp_path, "new.csv", "x,z\n1,1\n\n1e300,1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = data_error(lambda: cmd_predict(model, path))
+        assert message == "row 3: score x·beta is not finite"
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(logitkit.__file__).resolve().parents[1]))
+    ok = subprocess.run([sys.executable, "-m", "logitkit", "pressq", "--n", "28", "--rate", "0.85"],
+                        capture_output=True, text=True, env=env, timeout=60)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["n"] == 28
+    usage = subprocess.run([sys.executable, "-m", "logitkit"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert usage.returncode == 1
+    assert usage.stderr.startswith("error: ")
+
+
+# ---- seeded parity with a row-major reference parse -------------------------
+
+
+def reference_rows(path):
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        raw = list(csv.reader(handle))
+    numbered = [(i, row) for i, row in enumerate(raw) if row]
+    if not numbered:
+        raise DataError(f"{path}: file is empty")
+    first, header = numbered[0]
+    names = [cell.strip() for cell in header]
+    rows = [(i - first, row) for i, row in numbered[1:]]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    for r, row in rows:
+        if len(row) != len(names):
+            raise DataError(f"row {r}: expected {len(names)} cells, got {len(row)}")
+    return names, rows
+
+
+def reference_cell(cell, r, name):
+    cell = cell.strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {r}, column {name!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {r}, column {name!r}: value must be finite, got {cell!r}")
+    return value
+
+
+def reference_matrix(rows, names, columns):
+    return np.array(
+        [[reference_cell(row[names.index(c)], r, c) for c in columns] for r, row in rows]
+    ).reshape(len(rows), len(columns))
+
+
+def reference_ingest(path, features):
+    names, rows = reference_rows(path)
+    labels = []
+    for r, row in rows:
+        value = reference_cell(row[names.index("y")], r, "y")
+        if value not in (0.0, 1.0):
+            raise DataError(
+                f"row {r}, column 'y': label must be 0 or 1, got {row[names.index('y')].strip()!r}"
+            )
+        labels.append(value)
+    if features is None:
+        def numeric(cell):
+            try:
+                return math.isfinite(float(cell))
+            except ValueError:
+                return False
+        features = [c for c in names if c != "y"
+                    and all(numeric(row[names.index(c)]) for _, row in rows)]
+    return Dataset.from_features(reference_matrix(rows, names, features), labels, features)
+
+
+def reference_predict(model, path):
+    names, rows = reference_rows(path)
+    missing = [c for c in model["feature_names"][1:] if c not in names]
+    if missing:
+        raise DataError(f"{path}: model feature columns not found: {missing}")
+    matrix = reference_matrix(rows, names, model["feature_names"][1:])
+    beta = np.array([model["coef"][c] for c in model["feature_names"]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.column_stack([np.ones(len(rows)), matrix]) @ beta
+    for (r, _), score in zip(rows, scores):
+        if not math.isfinite(score):
+            raise DataError(f"row {r}: score x·beta is not finite")
+    return {
+        "feature_names": model["feature_names"],
+        "threshold": 0.5,
+        "probabilities": [float(p) for p in logistic(scores)],
+        "labels": [int(s > logit(0.5)) for s in scores],
+    }
+
+
+def random_cell(rng, bad_rate):
+    if rng.random() < bad_rate:
+        return rng.choice(UNPARSEABLE + NON_FINITE)
+    if rng.random() < 0.3:
+        return rng.choice(list(ACCEPTED) + ["1e300", "-1e300"])
+    value = rng.gauss(0.0, 10.0 ** rng.randint(-3, 4))
+    return rng.choice([repr(value), f"{value:.3e}", f"{value:.6g}", f" {value:.2f}"])
+
+
+def random_table(rng):
+    """A small CSV text: label y among features a..d, some blank lines, rows of
+    the wrong width now and then, and a per-table rate of bad cells."""
+    names = ["y"] + list("abcd")[: rng.randint(0, 4)]
+    rng.shuffle(names)
+    bad_rate = rng.choice([0.0, 0.0, 0.03, 0.15, 0.4])
+    lines = [",".join(names)]
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.15:
+            lines.append("")
+        cells = [
+            rng.choice(["0", "1", " 1 ", "1.0", "-0"]) if c == "y" and rng.random() > bad_rate
+            else random_cell(rng, bad_rate)
+            for c in names
+        ]
+        if rng.random() < 0.03:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(",".join(cells))
+    return names, "\n".join(lines) + "\n"
+
+
+def outcome(call):
+    try:
+        return call()
+    except DataError as exc:
+        return str(exc)
+
+
+def test_seeded_parity_with_reference_parse(tmp_path):
+    counts = {"ingest": [0, 0], "predict": [0, 0]}
+    for seed in range(200):
+        rng = random.Random(seed)
+        names, text = random_table(rng)
+        path = write(tmp_path, f"t{seed}.csv", text)
+        others = [c for c in names if c != "y"]
+        features = None
+        if rng.random() >= 0.5:
+            features = tuple(rng.sample(others, rng.randint(0, len(others))))
+
+        got = outcome(lambda: ingest(CsvSpec(path, feature_columns=features)))
+        want = outcome(lambda: reference_ingest(path, features))
+        if isinstance(want, str):
+            assert got == want, (seed, text)
+        else:
+            assert isinstance(got, Dataset), (seed, text, got)
+            assert got.feature_names == want.feature_names, (seed, text)
+            assert got.design.tobytes() == want.design.tobytes(), (seed, text)
+            assert got.labels.tobytes() == want.labels.tobytes(), (seed, text)
+        counts["ingest"][isinstance(want, str)] += 1
+
+        used = rng.sample(names, rng.randint(0, len(names)))
+        model = {"feature_names": ["intercept"] + used,
+                 "coef": {c: rng.choice([rng.gauss(0, 2), 1e10]) for c in ["intercept"] + used}}
+        model_path = write(tmp_path, f"m{seed}.json", json.dumps(model))
+        got = outcome(lambda: cmd_predict(model_path, path).payload)
+        want = outcome(lambda: reference_predict(model, path))
+        assert got == want, (seed, text, model)
+        counts["predict"][isinstance(want, str)] += 1
+    # the sweep exercises both the parsed and the error outcome of each entry point
+    assert min(min(pair) for pair in counts.values()) >= 40, counts
