@@ -34,6 +34,15 @@ class CvReport:
             raise ValueError("error_rate must lie in [0, 1]")
 
 
+def _threshold_cut(threshold) -> float:
+    """The score cut logit(threshold) of the rule "label 1 when pi_i > threshold";
+    ValueError unless the threshold lies strictly inside (0, 1)."""
+    threshold = float(threshold)
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    return logit(threshold)
+
+
 def classify(data: Dataset, coef, threshold: float = 0.5) -> np.ndarray:
     """Assign 0/1 labels from the fitted scores.
 
@@ -41,11 +50,8 @@ def classify(data: Dataset, coef, threshold: float = 0.5) -> np.ndarray:
     logit(threshold), which makes the default rule exactly the sign test
     x_i . beta > 0 and sends exact boundary ties to class 0.
     """
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    cut = _threshold_cut(threshold)  # exactly 0.0 at the default threshold
     beta = data.check_coef(coef)
-    cut = logit(threshold)  # exactly 0.0 at the default threshold
     return (data.design @ beta > cut).astype(int)
 
 
@@ -60,16 +66,13 @@ def loocv(data: Dataset, config: FitConfig = FitConfig(), threshold: float = 0.5
     predicts that majority label and is counted as well. Folds are mutually
     independent; results are assembled in subject order.
     """
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    cut = _threshold_cut(threshold)
     if data.n < 2:
         raise ValueError("leave-one-out needs at least two subjects")
     total_ones = float(data.labels.sum())
     if total_ones == 0.0 or total_ones == data.n:
         raise ValueError("both classes must be present in the full data")
 
-    cut = logit(threshold)
     errors = []
     non_converged = 0
     for i in range(data.n):

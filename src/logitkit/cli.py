@@ -13,15 +13,16 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .classify import evaluate_with_press_q, loocv
+from .classify import _threshold_cut, evaluate_with_press_q, loocv
 from .fit import FitConfig, FitResult, fit_irls
 from .inference import FitNotConvergedError, lrt_nested, power_curve, press_q
-from .model import Dataset, logistic, logit
+from .model import Dataset, logistic
 
 
 class UsageError(Exception):
@@ -50,10 +51,14 @@ class CsvSpec:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise UsageError("delimiter must be a single character")
-        if self.feature_columns is not None and self.label_column in self.feature_columns:
+        features = self.feature_columns or ()
+        if self.label_column in features:
             raise UsageError(
                 f"label column {self.label_column!r} cannot also be a feature"
             )
+        repeated = [c for c in dict.fromkeys(features) if features.count(c) > 1]
+        if repeated:
+            raise UsageError(f"duplicate feature columns: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -71,23 +76,12 @@ class RunOutput:
             except ValueError:
                 loose = json.loads(json.dumps(self.payload), parse_constant=lambda _: None)
                 return json.dumps(loose, indent=2)
-        if self.kind == "curve":
-            return "\n".join(
-                f"{_fmt(p)}\t{_fmt(v)}" for p, v in self.payload["rows"]
-            )
-        if self.kind == "predict":
-            return "\n".join(
-                f"{_fmt(p)}\t{lab}"
-                for p, lab in zip(self.payload["probabilities"], self.payload["labels"])
-            )
-        return "\n".join(f"{key}\t{_fmt(val)}" for key, val in _flatten(self.payload))
-
-
-def _fmt(value) -> str:
-    # shortest decimal that round-trips the exact float
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        # str() of a float is the shortest decimal that round-trips it
+        if self.kind in ("curve", "predict"):  # one tab-separated line per table row
+            p = self.payload
+            rows = p["rows"] if self.kind == "curve" else zip(p["probabilities"], p["labels"])
+            return "\n".join("\t".join(map(str, row)) for row in rows)
+        return "\n".join(f"{key}\t{val}" for key, val in _flatten(self.payload))
 
 
 def _flatten(obj, prefix: str = ""):
@@ -99,6 +93,15 @@ def _flatten(obj, prefix: str = ""):
             yield from _flatten(val, f"{prefix}.{i}" if prefix else str(i))
     else:
         yield prefix, obj
+
+
+@contextmanager
+def _reraise(error):
+    """Re-raise a library ValueError as this front-end's UsageError or DataError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(str(exc)) from exc
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:
@@ -113,12 +116,14 @@ def _parse_number(cell: str, row: int, column: str) -> float:
     return value
 
 
-def _read_csv_rows(path: str, delimiter: str, has_header: bool):
-    """Header names, the non-blank records, and their data row numbers (blank
-    rows are skipped but counted, so "row r" is the r-th row after the header)."""
+def _read_csv_rows(spec: CsvSpec):
+    """The column index of each header name, the non-blank records, and their
+    data row numbers (blank rows are skipped but counted, so "row r" is the
+    r-th row after the header). A leading UTF-8 byte-order mark is dropped."""
+    path = spec.path
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            raw = list(csv.reader(handle, delimiter=delimiter))
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            raw = list(csv.reader(handle, delimiter=spec.delimiter))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -126,23 +131,24 @@ def _read_csv_rows(path: str, delimiter: str, has_header: bool):
     records = list(filter(None, raw))
     if not records:
         raise DataError(f"{path}: file is empty")
-    first = next(i for i, row in enumerate(raw) if row) if has_header else -1
+    first = next(i for i, row in enumerate(raw) if row) if spec.has_header else -1
     numbers = [i - first for i, row in enumerate(raw) if row]
-    if has_header:
-        names = [cell.strip() for cell in records[0]]
+    if spec.has_header:
+        header = [cell.strip() for cell in records[0]]
         records, numbers = records[1:], numbers[1:]
     else:
-        names = [f"col{i}" for i in range(1, len(records[0]) + 1)]
-    if len(set(names)) != len(names):
+        header = [f"col{i}" for i in range(1, len(records[0]) + 1)]
+    column_of = {name: j for j, name in enumerate(header)}
+    if len(column_of) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     if not records:
         raise DataError(f"{path}: no data rows")
-    width = len(names)
+    width = len(header)
     if set(map(len, records)) != {width}:
         for r, record in zip(numbers, records):
             if len(record) != width:
                 raise DataError(f"row {r}: expected {width} cells, got {len(record)}")
-    return names, records, numbers
+    return column_of, records, numbers
 
 
 def _parse_column(records, j: int, out: np.ndarray) -> bool:
@@ -179,12 +185,11 @@ def ingest(spec: CsvSpec) -> Dataset:
     the column; the label column must parse to exactly 0 or 1. Row order
     is preserved.
     """
-    names, records, numbers = _read_csv_rows(spec.path, spec.delimiter, spec.has_header)
-    if spec.label_column not in names:
+    column_of, records, numbers = _read_csv_rows(spec)
+    if spec.label_column not in column_of:
         raise UsageError(
-            f"label column {spec.label_column!r} not found; file has {names}"
+            f"label column {spec.label_column!r} not found; file has {list(column_of)}"
         )
-    column_of = {name: j for j, name in enumerate(names)}
 
     labels = np.empty(len(records))
     label_idx = column_of[spec.label_column]
@@ -204,7 +209,7 @@ def ingest(spec: CsvSpec) -> Dataset:
             raise UsageError(f"feature columns not found: {missing}")
         columns = [(name, column_of[name]) for name in spec.feature_columns]
     else:
-        columns = [(name, j) for j, name in enumerate(names) if name != spec.label_column]
+        columns = [(name, j) for name, j in column_of.items() if name != spec.label_column]
     design, kept = _design_matrix(records, numbers, columns, spec.feature_columns is None)
     return Dataset(design, labels, ("intercept", *kept))
 
@@ -257,11 +262,7 @@ def cmd_test(spec: CsvSpec, reduced, config: FitConfig = FitConfig(), out: str =
         {
             "full_features": list(data.feature_names),
             "reduced_features": kept,
-            "deviance_reduced": result.deviance_reduced,
-            "deviance_full": result.deviance_full,
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
+            **asdict(result),
         },
         "test",
     )
@@ -274,14 +275,11 @@ def cmd_cv(
     out: str = "json",
 ) -> RunOutput:
     """Leave-one-out cross-validation plus Press's Q for the error rate."""
-    if not 0.0 < float(threshold) < 1.0:
-        raise UsageError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    with _reraise(UsageError):
+        _threshold_cut(threshold)
     data = ingest(spec)
-    try:
+    with _reraise(DataError):
         report = loocv(data, config, threshold)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    pq = evaluate_with_press_q(report)
     return RunOutput(
         out,
         {
@@ -290,12 +288,7 @@ def cmd_cv(
             "error_rate": report.error_rate,
             "discriminant_power": report.discriminant_power,
             "non_converged_folds": report.non_converged_folds,
-            "press_q": {
-                "n": pq.n,
-                "error_rate": pq.error_rate,
-                "q_statistic": pq.q_statistic,
-                "p_value": pq.p_value,
-            },
+            "press_q": asdict(evaluate_with_press_q(report)),
         },
         "cv",
     )
@@ -303,28 +296,15 @@ def cmd_cv(
 
 def cmd_pressq(n: int, rate: float, out: str = "json") -> RunOutput:
     """Press's Q significance for a classification rate (error rate or power)."""
-    try:
+    with _reraise(UsageError):
         result = press_q(n, rate)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return RunOutput(
-        out,
-        {
-            "n": result.n,
-            "error_rate": result.error_rate,
-            "q_statistic": result.q_statistic,
-            "p_value": result.p_value,
-        },
-        "pressq",
-    )
+    return RunOutput(out, asdict(result), "pressq")
 
 
 def cmd_curve(n: int, grid_points: int = 1000, out: str = "json") -> RunOutput:
     """Tabulate the power-versus-p-value curve for a sample size."""
-    try:
+    with _reraise(UsageError):
         curve = power_curve(n, grid_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return RunOutput(
         out,
         {
@@ -365,12 +345,11 @@ def cmd_predict(
     out: str = "json",
 ) -> RunOutput:
     """Score new rows with a fitted-model json: per-row probability and label."""
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise UsageError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+    with _reraise(UsageError):
+        cut = _threshold_cut(threshold)
     names, beta = _load_model(model_path)
-    file_names, records, numbers = _read_csv_rows(csv_path, delimiter, has_header)
-    column_of = {name: j for j, name in enumerate(file_names)}
+    spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
+    column_of, records, numbers = _read_csv_rows(spec)
     missing = [c for c in names[1:] if c not in column_of]
     if missing:
         raise DataError(f"{csv_path}: model feature columns not found: {missing}")
@@ -385,9 +364,9 @@ def cmd_predict(
         out,
         {
             "feature_names": list(names),
-            "threshold": threshold,
+            "threshold": float(threshold),
             "probabilities": logistic(scores).tolist(),
-            "labels": (scores > logit(threshold)).astype(int).tolist(),
+            "labels": (scores > cut).astype(int).tolist(),
         },
         "predict",
     )
@@ -398,37 +377,75 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_csv_options(parser) -> None:
-    parser.add_argument("csv", help="input CSV file")
-    parser.add_argument("--label-col", default="y", help='label column name (default "y")')
-    parser.add_argument(
-        "--features",
-        default=None,
+def _columns(value: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in value.split(",") if c.strip())
+
+
+# Every flag once; each subcommand in _COMMANDS names the flags it takes, in help order.
+_FLAGS = {
+    "--label-col": dict(default="y", help='label column name (default "y")'),
+    "--features": dict(
+        type=_columns,
         help="comma-separated feature columns (default: all numeric non-label columns)",
-    )
-    parser.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
-    parser.add_argument(
-        "--no-header",
-        action="store_true",
-        help="file has no header row; columns are named col1..colN",
-    )
+    ),
+    "--delimiter": dict(default=",", help="field delimiter (default comma)"),
+    "--no-header": dict(
+        action="store_true", help="file has no header row; columns are named col1..colN"
+    ),
+    "--tol": dict(
+        type=float, default=1e-3, help="gradient-norm stopping tolerance (default 0.001)"
+    ),
+    "--max-iter": dict(type=int, default=100, help="Newton iteration cap (default 100)"),
+    "--model": dict(required=True, help="fitted-model json produced by fit"),
+    "--threshold": dict(
+        type=float, default=0.5, help="classification threshold (default 0.5)"
+    ),
+    "--reduced": dict(
+        type=_columns, required=True,
+        help="comma-separated features the reduced model keeps (empty for intercept-only)",
+    ),
+    "--n": dict(type=int, required=True, help="sample size"),
+    "--rate": dict(
+        type=float, required=True, help="error rate or discriminant power in [0, 1]"
+    ),
+    "--grid-points": dict(
+        type=int, default=1000, help="number of grid points (default 1000)"
+    ),
+    "--format": dict(
+        choices=("json", "tsv"), default="json", help="output format (default json)"
+    ),
+}
+_DATA_FLAGS = ("--label-col", "--features", "--delimiter", "--no-header", "--tol", "--max-iter")
 
 
-def _add_config_options(parser) -> None:
-    parser.add_argument(
-        "--tol", type=float, default=1e-3,
-        help="gradient-norm stopping tolerance (default 0.001)",
-    )
-    parser.add_argument(
-        "--max-iter", type=int, default=100, help="Newton iteration cap (default 100)"
-    )
+def _spec(args) -> CsvSpec:
+    return CsvSpec(args.csv, args.label_col, args.features, args.delimiter, not args.no_header)
 
 
-def _add_format_option(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "tsv"), default="json",
-        help="output format (default json)",
-    )
+def _config(args) -> FitConfig:
+    with _reraise(UsageError):
+        return FitConfig(grad_tol=args.tol, max_iter=args.max_iter)
+
+
+# (name, help, help of the csv argument or None, flags, runner). A runner looks
+# its cmd_* function up in this module when it runs, so a patched one is used.
+_COMMANDS = (
+    ("fit", "fit the logistic model to a CSV", "input CSV file", _DATA_FLAGS,
+     lambda a: cmd_fit(_spec(a), _config(a), a.format)),
+    ("predict", "score new rows with a fitted-model json", "feature CSV file",
+     ("--model", "--threshold", "--delimiter", "--no-header"),
+     lambda a: cmd_predict(a.model, a.csv, a.threshold, a.delimiter, not a.no_header, a.format)),
+    ("test", "likelihood-ratio test against a reduced model", "input CSV file",
+     (*_DATA_FLAGS, "--reduced"),
+     lambda a: cmd_test(_spec(a), a.reduced, _config(a), a.format)),
+    ("cv", "leave-one-out cross-validation with Press's Q", "input CSV file",
+     (*_DATA_FLAGS, "--threshold"),
+     lambda a: cmd_cv(_spec(a), _config(a), a.threshold, a.format)),
+    ("pressq", "Press's Q for a classification rate", None, ("--n", "--rate"),
+     lambda a: cmd_pressq(a.n, a.rate, a.format)),
+    ("curve", "power-versus-p-value table", None, ("--n", "--grid-points"),
+     lambda a: cmd_curve(a.n, a.grid_points, a.format)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,104 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("fit", help="fit the logistic model to a CSV")
-    _add_csv_options(p)
-    _add_config_options(p)
-    _add_format_option(p)
-
-    p = sub.add_parser("predict", help="score new rows with a fitted-model json")
-    p.add_argument("csv", help="feature CSV file")
-    p.add_argument("--model", required=True, help="fitted-model json produced by fit")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="classification threshold (default 0.5)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
-    p.add_argument("--no-header", action="store_true",
-                   help="file has no header row; columns are named col1..colN")
-    _add_format_option(p)
-
-    p = sub.add_parser("test", help="likelihood-ratio test against a reduced model")
-    _add_csv_options(p)
-    _add_config_options(p)
-    p.add_argument(
-        "--reduced", required=True,
-        help="comma-separated features the reduced model keeps (empty for intercept-only)",
-    )
-    _add_format_option(p)
-
-    p = sub.add_parser("cv", help="leave-one-out cross-validation with Press's Q")
-    _add_csv_options(p)
-    _add_config_options(p)
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="classification threshold (default 0.5)")
-    _add_format_option(p)
-
-    p = sub.add_parser("pressq", help="Press's Q for a classification rate")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--rate", type=float, required=True,
-                   help="error rate or discriminant power in [0, 1]")
-    _add_format_option(p)
-
-    p = sub.add_parser("curve", help="power-versus-p-value table")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--grid-points", type=int, default=1000,
-                   help="number of grid points (default 1000)")
-    _add_format_option(p)
-
+    for name, help_text, csv_help, flags, run in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if csv_help:
+            p.add_argument("csv", help=csv_help)
+        for flag in (*flags, "--format"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=run)
     return parser
-
-
-def _split_columns(value: str | None):
-    if value is None:
-        return None
-    return tuple(c.strip() for c in value.split(",") if c.strip())
-
-
-def _csv_spec(args) -> CsvSpec:
-    return CsvSpec(
-        path=args.csv,
-        label_column=args.label_col,
-        feature_columns=_split_columns(args.features),
-        delimiter=args.delimiter,
-        has_header=not args.no_header,
-    )
-
-
-def _fit_config(args) -> FitConfig:
-    try:
-        return FitConfig(grad_tol=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _dispatch(args) -> RunOutput:
-    if args.command == "fit":
-        return cmd_fit(_csv_spec(args), _fit_config(args), args.format)
-    if args.command == "predict":
-        return cmd_predict(
-            args.model, args.csv, args.threshold, args.delimiter,
-            not args.no_header, args.format,
-        )
-    if args.command == "test":
-        reduced = _split_columns(args.reduced) or ()
-        return cmd_test(_csv_spec(args), list(reduced), _fit_config(args), args.format)
-    if args.command == "cv":
-        return cmd_cv(_csv_spec(args), _fit_config(args), args.threshold, args.format)
-    if args.command == "pressq":
-        return cmd_pressq(args.n, args.rate, args.format)
-    if args.command == "curve":
-        return cmd_curve(args.n, args.grid_points, args.format)
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        print(_dispatch(args).render())
+        print(args.run(args).render())
         return 0
-    except UsageError as exc:
+    except (UsageError, DataError, FitNotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, FitNotConvergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import logitkit.cli as cli
 from logitkit import FitConfig
 from logitkit.cli import (
     CsvSpec,
@@ -316,3 +317,73 @@ class TestExitCodes:
     def test_negative_tol_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "mini.csv", "y,x\n1,2.0\n0,-1.0\n")
         assert main(["fit", path, "--tol", "-1"]) == 1
+
+
+MODEL = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.25, "x": -1.5}}
+
+
+class TestSharedCsvReader:
+    def test_predict_bad_delimiter_is_usage_error(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(MODEL))
+        new = write(tmp_path, "new.csv", "x\n1.0\n")
+        assert main(["predict", new, "--model", model, "--delimiter", "ab"]) == 1
+        assert capsys.readouterr() == ("", "error: delimiter must be a single character\n")
+
+    def test_duplicate_features_are_usage_errors(self, tmp_path, capsys):
+        path = write(tmp_path, "cv.csv", CV_FIXTURE)
+        with pytest.raises(UsageError, match=r"duplicate feature columns: \['area', 'thickness'\]"):
+            CsvSpec(path, feature_columns=("area", "thickness", "area", "thickness"))
+        assert main(["fit", path, "--features", "thickness,area,thickness"]) == 1
+        assert capsys.readouterr() == ("", "error: duplicate feature columns: ['thickness']\n")
+
+    def test_byte_order_mark_gives_identical_output(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(MODEL))
+        new = "x\n2.0\n-1.0\n0.5\n"
+        outputs = {}
+        for encoding in ("utf-8", "utf-8-sig"):
+            train = tmp_path / f"train-{encoding}.csv"
+            train.write_text(CV_FIXTURE, encoding=encoding)
+            rows = tmp_path / f"new-{encoding}.csv"
+            rows.write_text(new, encoding=encoding)
+            for argv in (["fit", str(train)], ["cv", str(train)],
+                         ["predict", str(rows), "--model", model]):
+                assert main(argv) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                outputs.setdefault(argv[0], []).append(captured.out)
+        assert (tmp_path / "train-utf-8-sig.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        for name, (plain, with_bom) in outputs.items():
+            assert plain == with_bom, name
+
+
+class TestDispatch:
+    """main looks each cmd_* function up on the module when it runs, so a
+    patched module global (as a tracing wrapper installs) is the one called."""
+
+    @pytest.mark.parametrize(
+        "name, argv, expected",
+        [
+            ("cmd_fit", ["fit", "d.csv"], (CsvSpec("d.csv"), FitConfig(), "json")),
+            (
+                "cmd_predict",
+                ["predict", "n.csv", "--model", "m.json", "--threshold", "0.3", "--no-header"],
+                ("m.json", "n.csv", 0.3, ",", False, "json"),
+            ),
+            (
+                "cmd_cv",
+                ["cv", "d.csv", "--features", "a, b", "--tol", "0.01", "--format", "tsv"],
+                (CsvSpec("d.csv", feature_columns=("a", "b")), FitConfig(grad_tol=0.01), 0.5, "tsv"),
+            ),
+        ],
+    )
+    def test_main_calls_the_patched_module_global(self, monkeypatch, capsys, name, argv, expected):
+        calls = []
+
+        def patched(*args):
+            calls.append(args)
+            return cli.RunOutput("json", {"patched": name}, name)
+
+        monkeypatch.setattr(cli, name, patched)
+        assert main(argv) == 0
+        assert calls == [expected]
+        assert json.loads(capsys.readouterr().out) == {"patched": name}
