@@ -324,13 +324,17 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid json: {exc}") from exc
+    if not isinstance(payload, dict):
+        payload = {}
     names = payload.get("feature_names")
     coef = payload.get("coef")
-    if not isinstance(names, list) or not names or names[0] != "intercept":
+    if (not isinstance(names, list) or not names or names[0] != "intercept"
+            or not all(isinstance(nm, str) for nm in names)):
         raise DataError(f"model file {path}: missing or malformed feature_names")
-    if not isinstance(coef, dict) or any(nm not in coef for nm in names):
-        raise DataError(f"model file {path}: missing or malformed coef")
-    beta = np.array([float(coef[nm]) for nm in names])
+    try:
+        beta = np.array([float(coef[nm]) for nm in names])
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise DataError(f"model file {path}: missing or malformed coef") from exc
     if not np.isfinite(beta).all():
         raise DataError(f"model file {path}: coefficients must be finite")
     return names, beta

@@ -1,8 +1,13 @@
 """Maximum-likelihood fitting by full Newton steps (IRLS), with analytic
 gradient, observed information, and the asymptotic covariance of the MLE.
 
+Each Newton step takes the scores X beta, the score vector X'(y - pi) and the
+information X'SX from one pass over the design in row blocks of about 256 KB,
+so X is read from memory once per step. When n fits one block the pass is the
+unblocked products bit for bit; with more blocks only the order of the sums
+over rows changes (agreement to 1e-12 of the summed magnitudes of the terms).
 The data were validated when the Dataset was built, so `fit_irls` runs the
-private kernels on its arrays; solve_psd and pinv_psd still check each system."""
+private kernel on its arrays; solve_psd and pinv_psd still check each system."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, _log_lik, _logistic, logistic
+from .model import Dataset, _log_lik, _logistic
 from .numerics import pinv_psd, solve_psd
 
 
@@ -67,22 +72,38 @@ class FitResult:
         return self.status is FitStatus.CONVERGED
 
 
-def _state(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
-    # (scores X beta, pi, score vector X'(y - pi)); ValueError on a non-finite beta or score
-    if not (np.isfinite(beta).all() and np.isfinite(scores := x @ beta).all()):
+# Rows per block of the Newton pass: about 256 KB of design, so a block and its
+# weighted copy stay in cache while the score vector and X'SX are formed from it.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _newton_block(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    # (scores X beta, score vector X'(y - pi), information X'SX with S = diag(pi_i (1 - pi_i)))
+    # over the rows of x; ValueError on a non-finite score
+    scores = x @ beta
+    if not np.isfinite(scores).all():
         raise ValueError("logistic requires finite input")
     pi = _logistic(scores)
-    return scores, pi, x.T @ (y - pi)
+    return scores, x.T @ (y - pi), x.T @ (x * (pi * (1.0 - pi))[:, None])
 
 
-def _information(x: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    # X'SX with S = diag(pi_i (1 - pi_i))
-    return x.T @ (x * (pi * (1.0 - pi))[:, None])
+def _newton_pass(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    # _newton_block over all rows, one block at a time, so x is read from memory
+    # once; with one block these are exactly the unblocked products, otherwise
+    # only the order of the sums over rows differs
+    if not np.isfinite(beta).all():
+        raise ValueError("logistic requires finite input")
+    rows = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
+    if x.shape[0] <= rows:
+        return _newton_block(x, y, beta)
+    scores, grads, infos = zip(*(_newton_block(x[i:i + rows], y[i:i + rows], beta)
+                                 for i in range(0, x.shape[0], rows)))
+    return np.concatenate(scores), sum(grads), sum(infos)
 
 
 def gradient(data: Dataset, coef) -> np.ndarray:
     """Score vector g = X'(y - pi)."""
-    return _state(data.design, data.labels, data.check_coef(coef))[2]
+    return _newton_pass(data.design, data.labels, data.check_coef(coef))[1]
 
 
 def neg_hessian(data: Dataset, coef) -> np.ndarray:
@@ -91,8 +112,7 @@ def neg_hessian(data: Dataset, coef) -> np.ndarray:
     This is the negative Hessian of the log-likelihood, symmetric positive
     semidefinite at every beta.
     """
-    pi = logistic(data.design @ data.check_coef(coef))  # checks the scores; no score vector
-    return _information(data.design, pi)
+    return _newton_pass(data.design, data.labels, data.check_coef(coef))[2]
 
 
 def covariance(data: Dataset, coef) -> np.ndarray:
@@ -114,16 +134,17 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     (MaxIterations), or the coefficient norm passes config.divergence_norm
     (Diverged, the signature of complete separation). Non-finite values
     appearing mid-iteration roll back to the last finite iterate and end
-    as Diverged rather than raising.
+    as Diverged rather than raising; floating-point warnings are silenced
+    through the final pseudoinverse, since non-finite values are the signal.
     """
     x = data.design
     y = data.labels
     beta = np.zeros(data.n_coef)
-    state = _state(x, y, beta)
     iterations = 0
-    with np.errstate(over="ignore"):  # overflow surfaces as non-finite values: Diverged
+    # overflow, 0 * inf and 1/0 surface as non-finite values (Diverged, NaN covariance)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scores, grad, info = _newton_pass(x, y, beta)
         while True:
-            grad = state[2]
             grad_norm = math.sqrt(grad @ grad)
             if grad_norm <= config.grad_tol:
                 status = FitStatus.CONVERGED
@@ -134,21 +155,19 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
             if iterations >= config.max_iter:
                 status = FitStatus.MAX_ITERATIONS
                 break
-            info = _information(x, state[1])
             if not np.isfinite(info).all():
                 status = FitStatus.DIVERGED
                 break
             step = beta + solve_psd(info, grad)
             iterations += 1
             try:
-                state = _state(x, y, step)
+                scores, grad, info = _newton_pass(x, y, step)
             except ValueError:  # roll back to the last finite iterate
                 status = FitStatus.DIVERGED
                 break
             beta = step
-        info = _information(x, state[1])
-    cov = pinv_psd(info) if np.isfinite(info).all() else np.full(info.shape, np.nan)
-    log_lik = _log_lik(y, state[0])
+        cov = pinv_psd(info) if np.isfinite(info).all() else np.full(info.shape, np.nan)
+    log_lik = _log_lik(y, scores)
     return FitResult(
         coef=beta,
         log_lik=log_lik,

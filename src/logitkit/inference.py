@@ -1,5 +1,10 @@
 """Deviance, the nested-model likelihood-ratio test, Press's Q, and the
-discriminant-power-to-p-value curve."""
+discriminant-power-to-p-value curve.
+
+The likelihood-ratio test's two fits run `fit_irls`, whose Newton pass reads
+a large design in row blocks, so its statistic can move in the last digits
+with the order of the sums; the power curve's df = 1 tail is evaluated for the
+whole grid at once, bit-identical to `chi2_sf` per point."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import numpy as np
 
 from .fit import FitConfig, fit_irls
 from .model import Dataset, log_likelihood
-from .numerics import chi2_sf
+from .numerics import _chi2_sf_df1, chi2_sf
 
 
 class FitNotConvergedError(RuntimeError):
@@ -140,5 +145,5 @@ def power_curve(n, grid_points: int = 1000) -> PowerCurve:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     powers = np.arange(1, grid_points + 1) / grid_points
     q = n * (2.0 * powers - 1.0) ** 2
-    p_values = np.array([chi2_sf(v, 1) for v in q])
+    p_values = _chi2_sf_df1(q)
     return PowerCurve(n=n, powers=powers, p_values=p_values)

@@ -298,6 +298,29 @@ class TestCmdPredict:
         new = write(tmp_path, "new.csv", "x\n1.0\n")
         assert main(["predict", new, "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload, part",
+        [
+            ([1, 2], "feature_names"),
+            ({"feature_names": ["intercept", ["x"]], "coef": {}}, "feature_names"),
+            ({"feature_names": ["intercept", "x"], "coef": {"intercept": "abc", "x": 1.0}}, "coef"),
+            ({"feature_names": ["intercept", "x"], "coef": {"intercept": None, "x": 1.0}}, "coef"),
+            ({"feature_names": ["intercept", "x"], "coef": {"intercept": 10**400, "x": 1.0}},
+             "coef"),
+            ({"feature_names": ["intercept", "x"], "coef": [0.5, 1.0]}, "coef"),
+            ({"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5}}, "coef"),
+        ],
+        ids=["list", "list name", "string coef", "null coef", "huge int coef", "coef list",
+             "coef missing"],
+    )
+    def test_malformed_model_json_is_data_error(self, tmp_path, capsys, payload, part):
+        model = write(tmp_path, "model.json", json.dumps(payload))
+        new = write(tmp_path, "new.csv", "x\n1.0\n")
+        assert main(["predict", new, "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: model file {model}: missing or malformed {part}\n"
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

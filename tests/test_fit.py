@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from logitkit import (
     fit_irls,
     gradient,
     log_likelihood,
+    loocv,
     neg_hessian,
 )
 
@@ -197,6 +199,24 @@ class TestFitIrls:
         result = fit_irls(data)
         assert result.status is FitStatus.DIVERGED
         assert np.all(np.isfinite(result.coef))
+
+    def test_collapsed_spectrum_emits_no_warning(self):
+        # at step 12 the largest eigenvalue of X'SX is subnormal, so 1/lambda
+        # overflows and inf * 0 turns the step and the covariance into NaN
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(30, 2))
+        y = (x @ rng.normal(size=2) > 0).astype(float)
+        full = Dataset.from_features(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_irls(full.without_row(22))
+            report = loocv(full)
+        assert result.status is FitStatus.DIVERGED
+        assert result.iterations == 13
+        assert np.all(np.isfinite(result.coef))
+        assert 1e5 < np.linalg.norm(result.coef) < 1.1e5
+        assert np.isnan(result.std_errors).all()
+        assert report.n == 30
 
 
 class TestFitConfig:

@@ -95,6 +95,16 @@ def test_power_curve_p_values_match_scipy(n):
     assert np.allclose(curve.p_values, stats.chi2.sf(q, 1), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n, grid_points",
+                         [(1, 2), (14, 3), (200, 1000), (200, 50_000), (10_000, 777)])
+def test_power_curve_is_per_point_chi2_sf_bit_for_bit(n, grid_points):
+    curve = power_curve(n, grid_points)
+    q = n * (2.0 * curve.powers - 1.0) ** 2
+    assert np.array_equal(curve.p_values, [chi2_sf(v, 1) for v in q.tolist()])
+    if grid_points % 2 == 0:  # power 1/2 gives q = 0 and p = 1
+        assert q[grid_points // 2 - 1] == 0.0 and curve.p_values[grid_points // 2 - 1] == 1.0
+
+
 def test_diverged_fit_writes_strict_json_and_nothing_to_stderr(tmp_path):
     # x * beta overflows X'SX on the first Newton step, so the fit ends Diverged
     # with NaN standard errors and an infinite gradient norm
