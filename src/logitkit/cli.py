@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -116,16 +117,23 @@ def _parse_number(cell: str, row: int, column: str) -> float:
     return value
 
 
-def _read_csv_rows(spec: CsvSpec):
-    """The column index of each header name, the non-blank records, and their
-    data row numbers (blank rows are skipped but counted, so "row r" is the
-    r-th row after the header). A leading UTF-8 byte-order mark is dropped."""
-    path = spec.path
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            raw = list(csv.reader(handle, delimiter=spec.delimiter))
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_csv_rows(spec: CsvSpec, data: bytes):
+    """The column index of each header name, the non-blank records of the
+    file's bytes `data`, and their data row numbers (blank rows are skipped
+    but counted, so "row r" is the r-th row after the header). A leading
+    UTF-8 byte-order mark is dropped."""
+    path = spec.path
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    try:
+        raw = list(csv.reader(lines, delimiter=spec.delimiter))
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
     records = list(filter(None, raw))
@@ -178,14 +186,111 @@ def _design_matrix(records, numbers, columns, drop_bad: bool = False):
     return matrix[:, : 1 + len(kept)], kept
 
 
+# csv.reader and np.loadtxt split a file alike only without these: a quote
+# joins lines in csv.reader, and loadtxt strips the ASCII separators
+# U+001C..U+001F around a number where float() rejects them
+_LOADTXT_UNSAFE = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _skip_cell(_cell: str) -> float:
+    return 0.0
+
+
+def _loadtxt_columns(spec: CsvSpec, data: bytes, choose):
+    """The names `choose(column_of, first_record)` picks and their columns,
+    parsed by one np.loadtxt call over the file's bytes `data`; None when
+    the csv path must read them instead.
+
+    The header and the first data row come from csv.reader. Every column not
+    chosen gets a constant converter, so loadtxt still checks each row's
+    width against the header's. The caller checks the values themselves.
+    """
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:  # the csv path names the undecodable byte
+        return None
+    if any(char in text for char in _LOADTXT_UNSAFE):
+        return None
+    lines = io.StringIO(text, newline="")
+    records = filter(None, csv.reader(lines, delimiter=spec.delimiter))
+    first, start = next(records, None), 0
+    if first is None:
+        return None
+    if spec.has_header:
+        header, start = [cell.strip() for cell in first], lines.tell()
+        first = next(records, None)
+    else:
+        header = [f"col{i}" for i in range(1, len(first) + 1)]
+    column_of = {name: j for j, name in enumerate(header)}
+    if first is None or len(column_of) != len(header) or len(first) != len(header):
+        return None
+    names = choose(column_of, first)
+    if names is None:
+        return None
+    chosen = {column_of[name] for name in names}
+    skip = {j: _skip_cell for j in range(len(header)) if j not in chosen}
+    try:  # the text holds a data row, so loadtxt has no empty-input warning to give
+        table = np.loadtxt(io.StringIO(text[start:]), delimiter=spec.delimiter,
+                           comments=None, ndmin=2, converters=skip)
+    except (ValueError, TypeError):
+        return None
+    if table.shape[1] != len(header):
+        return None
+    return names, table[:, [column_of[name] for name in names]]
+
+
+def _with_intercept(columns: np.ndarray) -> np.ndarray:
+    matrix = np.empty((columns.shape[0], 1 + columns.shape[1]))
+    matrix[:, 0] = 1.0
+    matrix[:, 1:] = columns
+    return matrix
+
+
+def _ingest_loadtxt(spec: CsvSpec, data: bytes) -> Dataset | None:
+    """`ingest` by `_loadtxt_columns`, or None unless every check of the csv
+    path passes."""
+    label, features = spec.label_column, spec.feature_columns
+
+    def choose(column_of, first):
+        names, cell = features, np.empty(1)
+        if names is None:  # a column whose first cell is not a number is dropped anyway
+            names = [name for name, j in column_of.items()
+                     if name != label and _parse_column([first], j, cell)]
+        names = [label, *names]
+        return names if column_of.keys() >= set(names) else None
+
+    read = _loadtxt_columns(spec, data, choose)
+    if read is None:
+        return None
+    names, table = read
+    labels = table[:, 0]
+    finite = np.isfinite(table[:, 1:]).all(axis=0)
+    if not ((labels == 0.0) | (labels == 1.0)).all() or (features is not None and not finite.all()):
+        return None
+    kept = [name for name, ok in zip(names[1:], finite) if ok]
+    return Dataset(_with_intercept(table[:, 1:][:, finite]), labels, ("intercept", *kept))
+
+
 def ingest(spec: CsvSpec) -> Dataset:
     """Read a CSV into a Dataset, prepending the intercept column.
 
     Cell-level failures raise DataError naming the 1-based data row and
     the column; the label column must parse to exactly 0 or 1. Row order
     is preserved.
+
+    A file with no quote character and none of U+001C..U+001F is parsed by
+    one np.loadtxt call, whose result is used when it passes every check the
+    csv path makes. Any other file, and any file that fails a check, is
+    parsed from the same bytes by the csv path, which is the reference for
+    the result and gives every error text with its row number.
     """
-    column_of, records, numbers = _read_csv_rows(spec)
+    data = _read_bytes(spec.path)
+    dataset = _ingest_loadtxt(spec, data)
+    return dataset if dataset is not None else _ingest_csv(spec, data)
+
+
+def _ingest_csv(spec: CsvSpec, data: bytes) -> Dataset:
+    column_of, records, numbers = _read_csv_rows(spec, data)
     if spec.label_column not in column_of:
         raise UsageError(
             f"label column {spec.label_column!r} not found; file has {list(column_of)}"
@@ -340,6 +445,22 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
     return names, beta
 
 
+def _scores(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return matrix @ beta
+
+
+def _scores_loadtxt(spec: CsvSpec, data: bytes, features, beta: np.ndarray) -> np.ndarray | None:
+    """x·beta of every row by `_loadtxt_columns`, or None unless every check
+    of the csv path passes."""
+    read = _loadtxt_columns(
+        spec, data, lambda column_of, _: features if column_of.keys() >= set(features) else None)
+    if read is None or not np.isfinite(read[1]).all():
+        return None
+    scores = _scores(_with_intercept(read[1]), beta)
+    return scores if np.isfinite(scores).all() else None
+
+
 def cmd_predict(
     model_path: str,
     csv_path: str,
@@ -348,22 +469,28 @@ def cmd_predict(
     has_header: bool = True,
     out: str = "json",
 ) -> RunOutput:
-    """Score new rows with a fitted-model json: per-row probability and label."""
+    """Score new rows with a fitted-model json: per-row probability and label.
+
+    The model's columns are read as in `ingest`: by one np.loadtxt call when
+    the file allows it and every cell and score is finite, otherwise by the
+    csv path, which gives every error text.
+    """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
     names, beta = _load_model(model_path)
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    column_of, records, numbers = _read_csv_rows(spec)
-    missing = [c for c in names[1:] if c not in column_of]
-    if missing:
-        raise DataError(f"{csv_path}: model feature columns not found: {missing}")
-    columns = [(name, column_of[name]) for name in names[1:]]
-    matrix = _design_matrix(records, numbers, columns)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = matrix @ beta
-    finite = np.isfinite(scores)
-    if not finite.all():
-        raise DataError(f"row {numbers[finite.argmin()]}: score x·beta is not finite")
+    data = _read_bytes(csv_path)
+    scores = _scores_loadtxt(spec, data, names[1:], beta)
+    if scores is None:
+        column_of, records, numbers = _read_csv_rows(spec, data)
+        missing = [c for c in names[1:] if c not in column_of]
+        if missing:
+            raise DataError(f"{csv_path}: model feature columns not found: {missing}")
+        columns = [(name, column_of[name]) for name in names[1:]]
+        scores = _scores(_design_matrix(records, numbers, columns)[0], beta)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            raise DataError(f"row {numbers[finite.argmin()]}: score x·beta is not finite")
     return RunOutput(
         out,
         {

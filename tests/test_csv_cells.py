@@ -16,7 +16,8 @@ import pytest
 
 import logitkit
 from logitkit import Dataset, logistic, logit
-from logitkit.cli import CsvSpec, DataError, cmd_predict, ingest, main
+from logitkit import cli
+from logitkit.cli import CsvSpec, DataError, UsageError, cmd_predict, ingest, main
 
 # each accepted cell with the value Python float() gives it
 ACCEPTED = {
@@ -182,15 +183,21 @@ def test_python_dash_m_runs_the_command_line():
 # ---- seeded parity with a row-major reference parse -------------------------
 
 
-def reference_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        raw = list(csv.reader(handle))
+def reference_rows(path, delimiter=",", has_header=True):
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        raw = list(csv.reader(handle, delimiter=delimiter))
     numbered = [(i, row) for i, row in enumerate(raw) if row]
     if not numbered:
         raise DataError(f"{path}: file is empty")
-    first, header = numbered[0]
-    names = [cell.strip() for cell in header]
-    rows = [(i - first, row) for i, row in numbered[1:]]
+    if has_header:
+        first, header = numbered[0]
+        names = [cell.strip() for cell in header]
+        rows = [(i - first, row) for i, row in numbered[1:]]
+    else:
+        names = [f"col{j}" for j in range(1, len(numbered[0][1]) + 1)]
+        rows = [(i + 1, row) for i, row in numbered]
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: duplicate column names in header")
     if not rows:
         raise DataError(f"{path}: no data rows")
     for r, row in rows:
@@ -216,14 +223,17 @@ def reference_matrix(rows, names, columns):
     ).reshape(len(rows), len(columns))
 
 
-def reference_ingest(path, features):
-    names, rows = reference_rows(path)
+def reference_ingest(path, features, label="y", delimiter=",", has_header=True):
+    names, rows = reference_rows(path, delimiter, has_header)
+    if label not in names:
+        raise UsageError(f"label column {label!r} not found; file has {names}")
     labels = []
     for r, row in rows:
-        value = reference_cell(row[names.index("y")], r, "y")
+        value = reference_cell(row[names.index(label)], r, label)
         if value not in (0.0, 1.0):
             raise DataError(
-                f"row {r}, column 'y': label must be 0 or 1, got {row[names.index('y')].strip()!r}"
+                f"row {r}, column {label!r}: label must be 0 or 1, "
+                f"got {row[names.index(label)].strip()!r}"
             )
         labels.append(value)
     if features is None:
@@ -232,13 +242,13 @@ def reference_ingest(path, features):
                 return math.isfinite(float(cell))
             except ValueError:
                 return False
-        features = [c for c in names if c != "y"
+        features = [c for c in names if c != label
                     and all(numeric(row[names.index(c)]) for _, row in rows)]
     return Dataset.from_features(reference_matrix(rows, names, features), labels, features)
 
 
-def reference_predict(model, path):
-    names, rows = reference_rows(path)
+def reference_predict(model, path, delimiter=",", has_header=True):
+    names, rows = reference_rows(path, delimiter, has_header)
     missing = [c for c in model["feature_names"][1:] if c not in names]
     if missing:
         raise DataError(f"{path}: model feature columns not found: {missing}")
@@ -326,3 +336,162 @@ def test_seeded_parity_with_reference_parse(tmp_path):
         counts["predict"][isinstance(want, str)] += 1
     # the sweep exercises both the parsed and the error outcome of each entry point
     assert min(min(pair) for pair in counts.values()) >= 40, counts
+
+
+# ---- the loadtxt reader against the reference, across dialects --------------
+
+# csv.reader gives 2 rows here and a line-by-line reader 3: the quote joins two lines
+JOINED_BY_QUOTE = 'id,a,y\n"s,1,0\nt",2,1\nu,3,0\n'
+
+
+def plain_number(rng):
+    value = rng.gauss(0.0, 10.0 ** rng.randint(-3, 4))
+    return rng.choice([repr(value), f"{value:.3e}", f"{value:.6g}", f"{value:.2f}"])
+
+
+def random_dialect_table(rng):
+    """random_table's mix plus the cases where csv.reader and a line-oriented
+    reader part ways: quoted cells (a quoted delimiter in an id column, a quoted
+    number, JOINED_BY_QUOTE), CRLF and lone-CR line ends, a BOM, blank and
+    whitespace-only lines (also before the header), no header, and the
+    delimiters ; tab space |. Clean tables have none of quotes, lone CRs,
+    whitespace-only lines or cells float() rejects.
+
+    Returns the file text, the delimiter, whether it has a header, the label
+    column's name, the names of the other columns, the numeric ones among them,
+    and whether the table is clean."""
+    if rng.random() < 0.04:
+        return JOINED_BY_QUOTE, ",", True, "y", ["id", "a"], ["a"], False
+    delimiter = rng.choice([",", ";", "\t", " ", "|"])
+    clean = rng.random() < 0.5
+    numeric = list("abcd")[: rng.randint(0, 4)]
+    columns = ["y"] + numeric + (["id"] if rng.random() < 0.4 else [])
+    rng.shuffle(columns)
+    bad_rate = 0.0 if clean else rng.choice([0.0, 0.03, 0.15, 0.4])
+    end = rng.choice(["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"])
+    gap = rng.choice([""] if clean or len(columns) == 1 else ["", " ", "\t "])
+
+    def cell(name, i):
+        if name == "id":
+            if not clean and rng.random() < 0.3:
+                return f'"s{i}{delimiter}{i}"'
+            return f"s{i}"
+        if name == "y":
+            if clean:
+                return rng.choice(["0", "1"])
+            return rng.choice(["0", "1", " 1 ", "1.0", "-0", '"1"']) \
+                if rng.random() > bad_rate else random_cell(rng, bad_rate)
+        if clean:
+            return plain_number(rng)
+        return random_cell(rng, bad_rate) if rng.random() > 0.05 else f'"{plain_number(rng)}"'
+
+    has_header = rng.random() < 0.8
+    lines = [rng.choice(["", gap]) for _ in range(rng.randint(0, 2))]
+    if has_header:
+        lines.append(delimiter.join(columns))
+    for i in range(rng.randint(1, 7)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", gap]))
+        cells = [cell(name, i) for name in columns]
+        if not clean and rng.random() < 0.03:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(delimiter.join(cells))
+    text = ("\ufeff" if rng.random() < 0.2 else "") + end.join(lines) + end
+    named = {c: c if has_header else f"col{j}" for j, c in enumerate(columns, 1)}
+    others = [named[c] for c in columns if c != "y"]
+    return text, delimiter, has_header, named["y"], others, [named[c] for c in numeric], clean
+
+
+def test_loadtxt_reader_matches_the_reference_across_dialects(tmp_path, monkeypatch):
+    csv_reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: csv_reads.append(spec) or read_rows(spec, data))
+
+    def outcome_of(call):
+        try:
+            return call()
+        except (DataError, UsageError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    counts = {"parsed": 0, "error": 0, "clean tables": 0, "ingest by loadtxt": 0,
+              "predict by loadtxt": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        text, delimiter, has_header, label, others, numeric, clean = random_dialect_table(rng)
+        path = str(tmp_path / f"d{seed}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        pool = numeric if clean else others
+        features = None
+        if rng.random() >= 0.5:
+            features = tuple(rng.sample(pool, rng.randint(0, len(pool))))
+        where = (seed, text, delimiter, has_header, features)
+
+        before = len(csv_reads)
+        got = outcome_of(lambda: ingest(CsvSpec(path, label, features, delimiter, has_header)))
+        if clean:
+            counts["clean tables"] += 1
+            counts["ingest by loadtxt"] += len(csv_reads) == before
+        want = outcome_of(lambda: reference_ingest(path, features, label, delimiter, has_header))
+        if isinstance(want, str):
+            assert got == want, where
+        else:
+            assert isinstance(got, Dataset), (where, got)
+            assert got.feature_names == want.feature_names, where
+            assert got.design.tobytes() == want.design.tobytes(), where
+            assert got.labels.tobytes() == want.labels.tobytes(), where
+        counts["error" if isinstance(want, str) else "parsed"] += 1
+
+        used = rng.sample([label, *pool], rng.randint(0, len(pool) + 1))
+        model = {"feature_names": ["intercept"] + used,
+                 "coef": {c: rng.choice([rng.gauss(0, 2), 1e10]) for c in ["intercept"] + used}}
+        model_path = write(tmp_path, f"dm{seed}.json", json.dumps(model))
+        before = len(csv_reads)
+        got = outcome_of(lambda: cmd_predict(model_path, path, 0.5, delimiter, has_header).payload)
+        if clean:
+            counts["predict by loadtxt"] += len(csv_reads) == before
+        assert got == outcome_of(lambda: reference_predict(model, path, delimiter, has_header)), \
+            (where, model)
+    assert min(counts["parsed"], counts["error"]) >= 60, counts
+    # a reader that always fell back to the csv path would pass every comparison above
+    assert min(counts["ingest by loadtxt"], counts["predict by loadtxt"]) >= \
+        counts["clean tables"] / 2, counts
+
+
+EDGE_MODELS = {
+    "y,x": {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}},
+    "y": {"feature_names": ["intercept"], "coef": {"intercept": 0.5}},
+}
+
+
+@pytest.mark.parametrize("text, code, error", [
+    ("y,x\n", 2, "no data rows"),
+    ("y,x\n\n\n", 2, "no data rows"),
+    ("\n\ny,x\n\n1,2.5\n", 0, None),
+    ("y\n1\n0\n1\n", 0, None),
+], ids=["header only", "blank data rows", "one row", "one column"])
+def test_edge_files_leak_no_warning(tmp_path, capsys, text, code, error):
+    path = write(tmp_path, "edge.csv", text)
+    model = EDGE_MODELS[text.split()[0]]
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main(["fit", path]), main(["predict", path, "--model", model_path])]
+    captured = capsys.readouterr()
+    assert codes == [code, code]
+    if error:
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {error}\n" * 2
+    else:
+        assert captured.err == ""
+        fit, end = json.JSONDecoder().raw_decode(captured.out)
+        assert fit["feature_names"] == model["feature_names"]
+        assert json.loads(captured.out[end:]) == reference_predict(model, path)
+
+
+def test_separator_characters_are_left_to_the_csv_path(tmp_path):
+    # loadtxt reads "\x1c1" as 1.0 where float() rejects it, so x is not numeric
+    path = write(tmp_path, "sep.csv", "y,x,z\n0,2,4\n1,\x1c1,3\n")
+    assert ingest(CsvSpec(path)).feature_names == ("intercept", "z")
+
