@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -73,16 +75,39 @@ class RunOutput:
     def render(self) -> str:
         if self.format == "json":
             try:  # strict JSON: NaN and Infinity are written as null
-                return json.dumps(self.payload, indent=2, allow_nan=False)
+                return _indented(self.payload, allow_nan=False)
             except ValueError:
                 loose = json.loads(json.dumps(self.payload), parse_constant=lambda _: None)
-                return json.dumps(loose, indent=2)
+                return _indented(loose)
         # str() of a float is the shortest decimal that round-trips it
         if self.kind in ("curve", "predict"):  # one tab-separated line per table row
             p = self.payload
             rows = p["rows"] if self.kind == "curve" else zip(p["probabilities"], p["labels"])
             return "\n".join("\t".join(map(str, row)) for row in rows)
         return "\n".join(f"{key}\t{val}" for key, val in _flatten(self.payload))
+
+
+def _indented(obj, allow_nan: bool = True, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, allow_nan=allow_nan) of a value `depth`
+    levels in, byte for byte. json.dumps skips its C encoder when it indents,
+    so a container of scalars is one C call with its items' line break and
+    indent as the separator. A list of containers, such as curve's short
+    rows, goes to the Python encoder whole, each line shifted by `depth`
+    (an encoded string holds no line break); a dict of containers goes key
+    by key."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj, allow_nan=allow_nan)
+    pad = "\n" + "  " * depth
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
+        text = json.dumps(obj, separators=("," + pad + "  ", ": "), allow_nan=allow_nan)
+        return text[0] + pad + "  " + text[1:-1] + pad + text[-1]
+    if not isinstance(obj, dict):
+        return json.dumps(obj, indent=2, allow_nan=allow_nan).replace("\n", pad)
+    # a one-item dict gives each key json's own conversion to a string
+    items = (json.dumps({key: 0}, allow_nan=allow_nan)[1:-4] + ": "
+             + _indented(val, allow_nan, depth + 1) for key, val in obj.items())
+    return "{" + ",".join(pad + "  " + item for item in items) + pad + "}"
 
 
 def _flatten(obj, prefix: str = ""):
@@ -103,6 +128,11 @@ def _reraise(error):
         yield
     except ValueError as exc:
         raise error(str(exc)) from exc
+
+
+# what float() strips around a number: str.strip()'s whitespace but U+001C..U+001F
+_FLOAT_SPACE = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:
@@ -132,14 +162,21 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
     UTF-8 byte-order mark is dropped."""
     path = spec.path
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    raw, error = [], None
     try:
-        raw = list(csv.reader(lines, delimiter=spec.delimiter))
+        for row in csv.reader(lines, delimiter=spec.delimiter):
+            raw.append(row)
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        error = exc
+    first = next((i for i, row in enumerate(raw) if row), None) if spec.has_header else -1
+    if error is not None:  # raw ends before the record csv.reader refused
+        where = f"{path}: header" if first is None else f"row {len(raw) - first}"
+        raise DataError(f"{where}: {error}") from error
     records = list(filter(None, raw))
     if not records:
         raise DataError(f"{path}: file is empty")
-    first = next(i for i, row in enumerate(raw) if row) if spec.has_header else -1
     numbers = [i - first for i, row in enumerate(raw) if row]
     if spec.has_header:
         header = [cell.strip() for cell in records[0]]
@@ -160,8 +197,8 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
 
 
 def _parse_column(records, j: int, out: np.ndarray) -> bool:
-    """Parse cell j of every record into `out` with float(), which strips what
-    str.strip() strips; True when every cell gives a finite number."""
+    """Parse cell j of every record into `out` with float(), which strips
+    _FLOAT_SPACE; True when every cell gives a finite number."""
     try:
         out[:] = np.fromiter(map(float, map(itemgetter(j), records)), float, len(records))
     except ValueError:
@@ -182,7 +219,7 @@ def _design_matrix(records, numbers, columns, drop_bad: bool = False):
         elif not drop_bad:
             for r, record in zip(numbers, records):
                 for bad_name, bad_j in columns:
-                    _parse_number(record[bad_j].strip(), r, bad_name)
+                    _parse_number(record[bad_j].strip(_FLOAT_SPACE), r, bad_name)
     return matrix[:, : 1 + len(kept)], kept
 
 
@@ -196,14 +233,33 @@ def _skip_cell(_cell: str) -> float:
     return 0.0
 
 
+def _head(text: str, delimiter: str):
+    """Each non-blank csv.reader record of the quote-free `text`, with the
+    offset just past its line, read one line at a time. Lines end at LF, as
+    np.loadtxt reads a StringIO; it stops at a line holding a lone CR, where
+    csv.reader sees a line end too."""
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end) + 1 or len(text)
+        line = text[start:end].rstrip("\r\n")
+        if "\r" in line:
+            return
+        record = next(csv.reader([line], delimiter=delimiter), None)
+        if record:
+            yield record, end
+
+
 def _loadtxt_columns(spec: CsvSpec, data: bytes, choose):
     """The names `choose(column_of, first_record)` picks and their columns,
-    parsed by one np.loadtxt call over the file's bytes `data`; None when
-    the csv path must read them instead.
+    parsed by np.loadtxt over the file's bytes `data`; None when the csv
+    path must read them instead.
 
-    The header and the first data row come from csv.reader. Every column not
-    chosen gets a constant converter, so loadtxt still checks each row's
-    width against the header's. The caller checks the values themselves.
+    The header and the first data row come from csv.reader, line by line.
+    loadtxt reads the chosen columns and the last one, so it rejects a short
+    row; a delimiter count then rejects a long one. A last column that is
+    not chosen is parsed as numbers while its first cell is one; otherwise,
+    or on a second try when a later cell is not, a constant converter takes
+    it, the only Python call per row. The caller checks the values themselves.
     """
     try:
         text = data.decode("utf-8-sig")
@@ -211,32 +267,50 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, choose):
         return None
     if any(char in text for char in _LOADTXT_UNSAFE):
         return None
-    lines = io.StringIO(text, newline="")
-    records = filter(None, csv.reader(lines, delimiter=spec.delimiter))
-    first, start = next(records, None), 0
-    if first is None:
+    delimiter, wanted = spec.delimiter, 1 + spec.has_header
+    try:  # the csv path reports an oversized field with its row
+        head = list(itertools.islice(_head(text, delimiter), wanted))
+    except csv.Error:
+        return None
+    if len(head) < wanted:
         return None
     if spec.has_header:
-        header, start = [cell.strip() for cell in first], lines.tell()
-        first = next(records, None)
+        (names_row, start), (first, _) = head
+        header = [cell.strip() for cell in names_row]
     else:
+        [(first, _)], start = head, 0
         header = [f"col{i}" for i in range(1, len(first) + 1)]
     column_of = {name: j for j, name in enumerate(header)}
-    if first is None or len(column_of) != len(header) or len(first) != len(header):
+    if len(column_of) != len(header) or len(first) != len(header):
+        return None
+    # csv.reader refuses a field longer than its limit; where every block of
+    # half the limit holds a line end, no line is that long
+    block = csv.field_size_limit() // 2
+    if any(text.find("\n", i, i + block) < 0 for i in range(start, len(text) - block + 1, block)):
         return None
     names = choose(column_of, first)
     if names is None:
         return None
-    chosen = {column_of[name] for name in names}
-    skip = {j: _skip_cell for j in range(len(header)) if j not in chosen}
-    try:  # the text holds a data row, so loadtxt has no empty-input warning to give
-        table = np.loadtxt(io.StringIO(text[start:]), delimiter=spec.delimiter,
-                           comments=None, ndmin=2, converters=skip)
-    except (ValueError, TypeError):
+    usecols, last = [column_of[name] for name in names], len(header) - 1
+    tries = [None]
+    if last not in usecols:
+        usecols.append(last)
+        skip = {last: _skip_cell}
+        tries = [None, skip] if _parse_column([first], last, np.empty(1)) else [skip]
+    lines = io.StringIO(text)
+    for converters in tries:
+        lines.seek(start)
+        try:  # the text holds a data row, so loadtxt has no empty-input warning to give
+            table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2,
+                               usecols=usecols, converters=converters)
+            break
+        except (ValueError, TypeError):
+            pass
+    else:
         return None
-    if table.shape[1] != len(header):
+    if text.count(delimiter, start) != len(table) * last:
         return None
-    return names, table[:, [column_of[name] for name in names]]
+    return names, table[:, : len(names)]
 
 
 def _with_intercept(columns: np.ndarray) -> np.ndarray:
@@ -279,10 +353,10 @@ def ingest(spec: CsvSpec) -> Dataset:
     is preserved.
 
     A file with no quote character and none of U+001C..U+001F is parsed by
-    one np.loadtxt call, whose result is used when it passes every check the
-    csv path makes. Any other file, and any file that fails a check, is
-    parsed from the same bytes by the csv path, which is the reference for
-    the result and gives every error text with its row number.
+    np.loadtxt, numpy's C reader, whose result is used when it passes every
+    check the csv path makes. Any other file, and any file that fails a
+    check, is parsed from the same bytes by the csv path, which is the
+    reference for the result and gives every error text with its row number.
     """
     data = _read_bytes(spec.path)
     dataset = _ingest_loadtxt(spec, data)
@@ -301,7 +375,7 @@ def _ingest_csv(spec: CsvSpec, data: bytes) -> Dataset:
     parsed = _parse_column(records, label_idx, labels)
     if not (parsed and ((labels == 0.0) | (labels == 1.0)).all()):
         for r, record in zip(numbers, records):
-            cell = record[label_idx].strip()
+            cell = record[label_idx].strip(_FLOAT_SPACE)
             if _parse_number(cell, r, spec.label_column) not in (0.0, 1.0):
                 raise DataError(
                     f"row {r}, column {spec.label_column!r}: label must be 0 or 1, "
@@ -471,7 +545,7 @@ def cmd_predict(
 ) -> RunOutput:
     """Score new rows with a fitted-model json: per-row probability and label.
 
-    The model's columns are read as in `ingest`: by one np.loadtxt call when
+    The model's columns are read as in `ingest`: by np.loadtxt when
     the file allows it and every cell and score is finite, otherwise by the
     csv path, which gives every error text.
     """
@@ -579,7 +653,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
     parser = _Parser(
         prog="logitkit",
         description=(

@@ -2,6 +2,7 @@
 and parity of `ingest` / `cmd_predict` with a row-major reference parse."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -457,6 +458,160 @@ def test_loadtxt_reader_matches_the_reference_across_dialects(tmp_path, monkeypa
     # a reader that always fell back to the csv path would pass every comparison above
     assert min(counts["ingest by loadtxt"], counts["predict by loadtxt"]) >= \
         counts["clean tables"] / 2, counts
+
+
+# ---- row width on the loadtxt reader, which reads only the needed and last columns
+
+def width_table(rng, delimiter, end, blank_lines, defect, where, row):
+    """A clean, unquoted table of columns y, a, b, c and id in random order,
+    and the csv reference's error text for it (None when well formed). The
+    model features are a and b, so predict skips y, c and id, and ingest
+    c and id.
+
+    `defect` "long" or "short" gives data row `row` (an index into the rows)
+    one cell more, or one fewer, at a feature column, at a skipped column, or
+    at the last column (`where`). "short+long" also gives another row one
+    cell more, so that the file holds as many delimiters as a well-formed one.
+    """
+    columns = ["y", "a", "b", "c", "id"]
+    rng.shuffle(columns)
+    rows = []
+    for i in range(rng.randint(3, 6)):
+        rows.append([f"s{i}" if name == "id" else rng.choice(["0", "1"]) if name == "y"
+                     else plain_number(rng) for name in columns])
+    bad = []
+    if defect:
+        last = len(columns) - 1
+        at = {"needed": [j for j, name in enumerate(columns) if name in "ab" and j != last],
+              "skipped": [j for j, name in enumerate(columns) if name in ("c", "id") and j != last],
+              "last": [last]}[where]
+        row %= len(rows)
+        if defect == "long":
+            rows[row].insert(rng.choice(at), plain_number(rng))
+        else:
+            del rows[row][rng.choice(at)]
+        bad.append(row)
+        if defect == "short+long":
+            other = rng.choice([i for i in range(len(rows)) if i != row])
+            rows[other].insert(rng.randrange(len(columns)), plain_number(rng))
+            bad.append(other)
+    lines = [""] * blank_lines + [delimiter.join(columns)] + [delimiter.join(r) for r in rows]
+    error = None
+    if bad:
+        first = min(bad)
+        error = f"row {first + 1}: expected 5 cells, got {len(rows[first])}"
+    return end.join(lines) + end, error
+
+
+def test_loadtxt_reader_rejects_every_row_of_the_wrong_width(tmp_path, monkeypatch):
+    csv_reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: csv_reads.append(spec) or read_rows(spec, data))
+    model = {"feature_names": ["intercept", "a", "b"],
+             "coef": {"intercept": 0.25, "a": -0.5, "b": 0.125}}
+    model_path = write(tmp_path, "width-model.json", json.dumps(model))
+    well_formed = by_loadtxt = 0
+    cases = itertools.product([",", ";", "\t", " ", "|"], ["\n", "\r\n"], [0, 2],
+                              [None, "long", "short", "short+long"], ["needed", "skipped", "last"],
+                              [0, 1, -1])
+    for n, (delimiter, end, blank_lines, defect, where, row) in enumerate(cases):
+        if defect is None and (where, row) != ("needed", 0):
+            continue
+        text, error = width_table(random.Random(n), delimiter, end, blank_lines, defect, where, row)
+        path = str(tmp_path / f"w{n}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        where_ = (n, text, delimiter)
+
+        before = len(csv_reads)
+        spec = CsvSpec(path, feature_columns=("a", "b"), delimiter=delimiter)
+        got = [outcome(lambda: ingest(spec)),
+               outcome(lambda: cmd_predict(model_path, path, 0.5, delimiter).payload)]
+        want = [outcome(lambda: reference_ingest(path, ("a", "b"), delimiter=delimiter)),
+                outcome(lambda: reference_predict(model, path, delimiter=delimiter))]
+        if error:
+            assert got == want == [error] * 2, where_
+            continue
+        well_formed += 1
+        by_loadtxt += len(csv_reads) == before
+        assert isinstance(got[0], Dataset), (where_, got[0])
+        assert got[0].design.tobytes() == want[0].design.tobytes(), where_
+        assert got[0].labels.tobytes() == want[0].labels.tobytes(), where_
+        assert got[1] == want[1], where_
+    # a reader that always fell back to the csv path would pass every comparison above
+    assert well_formed == by_loadtxt == 20, (well_formed, by_loadtxt)
+
+
+def test_a_skipped_last_column_that_turns_non_numeric_stays_on_the_loadtxt_reader(
+        tmp_path, monkeypatch):
+    # y is parsed as a number while it is one; its NA cells then take the converter
+    csv_reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: csv_reads.append(spec) or read_rows(spec, data))
+    path = write(tmp_path, "na.csv", "id,x,y\na,1.5,1\nb,-2,0\nc,0.25,NA\nd,3,\n")
+    model = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    assert cmd_predict(model_path, path).payload == reference_predict(model, path)
+    assert csv_reads == []
+
+
+# ---- cells and fields the csv path refuses -----------------------------------
+
+
+def test_float_space_is_what_float_strips():
+    blanks = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(cli._FLOAT_SPACE) == blanks - set("\x1c\x1d\x1e\x1f")
+    for char in blanks:
+        accepted = char in cli._FLOAT_SPACE
+        try:
+            assert float(f"{char}1{char}") == 1.0 and accepted, repr(char)
+        except ValueError:
+            assert not accepted, repr(char)
+
+
+@pytest.mark.parametrize("text, argv, error", [
+    ("y,x,z\n1,\x1c1,3\n0,2,4\n1,3,3\n", ["--features", "x,z"],
+     "row 1, column 'x': cannot parse '\\x1c1' as a number"),
+    ("y,x,z\n1,2,3\n0,2,1\x1f\n1,3,3\n", ["--features", "x,z"],
+     "row 2, column 'z': cannot parse '1\\x1f' as a number"),
+    ("y,x\n1,2\n\x1c1,3\n0,4\n", [], "row 2, column 'y': cannot parse '\\x1c1' as a number"),
+], ids=["feature", "trailing separator", "label"])
+def test_separator_characters_in_a_needed_cell_are_data_errors(tmp_path, capsys, text, argv, error):
+    path = write(tmp_path, "sep.csv", text)
+    assert main(["fit", path, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    model = {"feature_names": ["intercept", "x", "z"],
+             "coef": {"intercept": 0.5, "x": -1.0, "z": 0.25}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    if "column 'y'" not in error:  # predict reads no label
+        assert main(["predict", path, "--model", model_path]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+LONG = "s" * 200_000
+
+
+@pytest.mark.parametrize("text, no_header, error", [
+    (f"id,x,y\n{LONG},1,0\nb,2,1\nc,3,0\n", False, "row 1: "),
+    (f"id,x,y\nb,2,1\nc,3,0\n\n{LONG},1,0\nd,1,1\n", False, "row 4: "),
+    (f'"id",x,y\nb,2,1\nc,3,0\n\n{LONG},1,0\nd,1,1\n', False, "row 4: "),
+    (f"id{LONG},x,y\nb,2,1\nc,3,0\n", False, "{path}: header: "),
+    (f"\r\n{LONG},1,0\r\nb,2,1\r\n", True, "row 2: "),
+], ids=["first data row", "late row", "late row, quoted file", "header", "no header, CRLF"])
+def test_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys, text, no_header, error):
+    path = write(tmp_path, "long.csv", text)
+    model_path = write(tmp_path, "model.json", json.dumps(
+        {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}))
+    flags = ["--no-header", "--label-col", "col3"] if no_header else []
+    limit = csv.field_size_limit()
+    want = f"error: {error.format(path=path)}field larger than field limit ({limit})\n"
+    assert main(["fit", path, *flags]) == 2
+    assert capsys.readouterr() == ("", want)
+    assert main(["predict", path, "--model", model_path, *flags[:1]]) == 2
+    assert capsys.readouterr() == ("", want)
+    assert csv.field_size_limit() == limit
 
 
 EDGE_MODELS = {
