@@ -25,7 +25,7 @@ import numpy as np
 from .classify import _threshold_cut, evaluate_with_press_q, loocv
 from .fit import FitConfig, FitResult, fit_irls
 from .inference import FitNotConvergedError, lrt_nested, power_curve, press_q
-from .model import Dataset, logistic
+from .model import Dataset, _intercept_design, logistic
 
 
 class UsageError(Exception):
@@ -135,24 +135,21 @@ _FLOAT_SPACE = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u20
                 "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
-def _parse_number(cell: str, row: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(f"row {row}, column {column!r}: value must be finite, got {cell!r}")
-    return value
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _header_map(spec: CsvSpec, top) -> dict:
+    """The column index of each name in the file's first record `top`: its
+    trimmed cells, or col1..colN when the file has no header row. A repeated
+    name leaves the map shorter than `top`."""
+    names = ([cell.strip() for cell in top] if spec.has_header
+             else [f"col{j}" for j in range(1, len(top) + 1)])
+    return {name: j for j, name in enumerate(names)}
 
 
 def _read_csv_rows(spec: CsvSpec, data: bytes):
@@ -178,17 +175,13 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
     if not records:
         raise DataError(f"{path}: file is empty")
     numbers = [i - first for i, row in enumerate(raw) if row]
-    if spec.has_header:
-        header = [cell.strip() for cell in records[0]]
-        records, numbers = records[1:], numbers[1:]
-    else:
-        header = [f"col{i}" for i in range(1, len(records[0]) + 1)]
-    column_of = {name: j for j, name in enumerate(header)}
-    if len(column_of) != len(header):
+    column_of, width = _header_map(spec, records[0]), len(records[0])
+    if len(column_of) != width:
         raise DataError(f"{path}: duplicate column names in header")
+    if spec.has_header:
+        records, numbers = records[1:], numbers[1:]
     if not records:
         raise DataError(f"{path}: no data rows")
-    width = len(header)
     if set(map(len, records)) != {width}:
         for r, record in zip(numbers, records):
             if len(record) != width:
@@ -198,29 +191,13 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
 
 def _parse_column(records, j: int, out: np.ndarray) -> bool:
     """Parse cell j of every record into `out` with float(), which strips
-    _FLOAT_SPACE; True when every cell gives a finite number."""
+    _FLOAT_SPACE; False, leaving `out` as it was, when some cell is not a
+    number. Whether the values are finite is the caller's check."""
     try:
         out[:] = np.fromiter(map(float, map(itemgetter(j), records)), float, len(records))
     except ValueError:
         return False
-    return bool(np.isfinite(out).all())
-
-
-def _design_matrix(records, numbers, columns, drop_bad: bool = False):
-    """The intercept column and the (name, index) `columns`, each parsed once,
-    plus the names kept. With drop_bad a column with a bad cell is left out;
-    otherwise a row-major rescan raises the DataError of the first bad cell."""
-    matrix = np.empty((len(records), 1 + len(columns)))
-    matrix[:, 0] = 1.0
-    kept = []
-    for name, j in columns:
-        if _parse_column(records, j, matrix[:, 1 + len(kept)]):
-            kept.append(name)
-        elif not drop_bad:
-            for r, record in zip(numbers, records):
-                for bad_name, bad_j in columns:
-                    _parse_number(record[bad_j].strip(_FLOAT_SPACE), r, bad_name)
-    return matrix[:, : 1 + len(kept)], kept
+    return True
 
 
 # csv.reader and np.loadtxt split a file alike only without these: a quote
@@ -249,49 +226,49 @@ def _head(text: str, delimiter: str):
             yield record, end
 
 
-def _loadtxt_columns(spec: CsvSpec, data: bytes, choose):
-    """The names `choose(column_of, first_record)` picks and their columns,
-    parsed by np.loadtxt over the file's bytes `data`; None when the csv
-    path must read them instead.
+def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
+    """The header map, the names `pick(column_of, first_record)` chooses and
+    their columns behind the intercept column, parsed by np.loadtxt over the
+    file's bytes `data`; None when the csv path must read them instead, as
+    when a name is not in the header.
 
     The header and the first data row come from csv.reader, line by line.
     loadtxt reads the chosen columns and the last one, so it rejects a short
-    row; a delimiter count then rejects a long one. A last column that is
-    not chosen is parsed as numbers while its first cell is one; otherwise,
-    or on a second try when a later cell is not, a constant converter takes
-    it, the only Python call per row. The caller checks the values themselves.
+    row; a count of the delimiter's byte then rejects a long one, so the
+    delimiter must be ASCII. A last column that is not chosen is parsed as
+    numbers while its first cell is one; otherwise, or on a second try when a
+    later cell is not, a constant converter takes it, the only Python call
+    per row. The caller checks the values themselves.
     """
+    delimiter, wanted = spec.delimiter, 1 + spec.has_header
+    if not delimiter.isascii():
+        return None
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError:  # the csv path names the undecodable byte
         return None
     if any(char in text for char in _LOADTXT_UNSAFE):
         return None
-    delimiter, wanted = spec.delimiter, 1 + spec.has_header
     try:  # the csv path reports an oversized field with its row
         head = list(itertools.islice(_head(text, delimiter), wanted))
     except csv.Error:
         return None
     if len(head) < wanted:
         return None
-    if spec.has_header:
-        (names_row, start), (first, _) = head
-        header = [cell.strip() for cell in names_row]
-    else:
-        [(first, _)], start = head, 0
-        header = [f"col{i}" for i in range(1, len(first) + 1)]
-    column_of = {name: j for j, name in enumerate(header)}
-    if len(column_of) != len(header) or len(first) != len(header):
+    (top, end), (first, _) = head[0], head[-1]
+    start = end if spec.has_header else 0
+    column_of, last = _header_map(spec, top), len(top) - 1
+    if len(column_of) != len(top) or len(first) != len(top):
         return None
     # csv.reader refuses a field longer than its limit; where every block of
     # half the limit holds a line end, no line is that long
     block = csv.field_size_limit() // 2
     if any(text.find("\n", i, i + block) < 0 for i in range(start, len(text) - block + 1, block)):
         return None
-    names = choose(column_of, first)
-    if names is None:
+    names = pick(column_of, first)
+    if not column_of.keys() >= set(names):
         return None
-    usecols, last = [column_of[name] for name in names], len(header) - 1
+    usecols = [column_of[name] for name in names]
     tries = [None]
     if last not in usecols:
         usecols.append(last)
@@ -308,41 +285,65 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, choose):
             pass
     else:
         return None
-    if text.count(delimiter, start) != len(table) * last:
+    # an ASCII byte is never part of a longer UTF-8 sequence
+    delimiters = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(delimiter))
+    if delimiters - text.count(delimiter, 0, start) != len(table) * last:
         return None
-    return names, table[:, : len(names)]
+    matrix = _intercept_design(len(table), len(names))
+    matrix[:, 1:] = table[:, : len(names)]
+    return column_of, names, matrix
 
 
-def _with_intercept(columns: np.ndarray) -> np.ndarray:
-    matrix = np.empty((columns.shape[0], 1 + columns.shape[1]))
-    matrix[:, 0] = 1.0
-    matrix[:, 1:] = columns
-    return matrix
+class _Fallback(Exception):
+    """A check failed on the C reader's matrix: the csv path reads the file."""
 
 
-def _ingest_loadtxt(spec: CsvSpec, data: bytes) -> Dataset | None:
-    """`ingest` by `_loadtxt_columns`, or None unless every check of the csv
-    path passes."""
-    label, features = spec.label_column, spec.feature_columns
+def _read_columns(spec: CsvSpec, data: bytes, pick, use):
+    """use(column_of, names, matrix, rows) on the file's header map, the
+    names that `pick(column_of, first_record)` chooses, and a float matrix
+    of the intercept column of ones followed by their columns, column k
+    holding names[k - 1].
 
-    def choose(column_of, first):
-        names, cell = features, np.empty(1)
-        if names is None:  # a column whose first cell is not a number is dropped anyway
-            names = [name for name, j in column_of.items()
-                     if name != label and _parse_column([first], j, cell)]
-        names = [label, *names]
-        return names if column_of.keys() >= set(names) else None
+    `_loadtxt_columns` reads them when it can, with rows None; if it gives
+    up, or a check in `use` fails and raises _Fallback, the csv path reads
+    the same bytes, with rows (records, numbers), and is the only source of
+    error texts. There a name not in the header, or a column with a cell
+    that is not a number, is all NaN.
+    """
+    read = _loadtxt_columns(spec, data, pick)
+    if read is not None:
+        try:
+            return use(*read, None)
+        except _Fallback:
+            pass
+    column_of, records, numbers = _read_csv_rows(spec, data)
+    names = pick(column_of, records[0])
+    matrix = _intercept_design(len(records), len(names))
+    for k, name in enumerate(names, 1):
+        if name in column_of:
+            _parse_column(records, column_of[name], matrix[:, k])
+    return use(column_of, names, matrix, (records, numbers))
 
-    read = _loadtxt_columns(spec, data, choose)
-    if read is None:
-        return None
-    names, table = read
-    labels = table[:, 0]
-    finite = np.isfinite(table[:, 1:]).all(axis=0)
-    if not ((labels == 0.0) | (labels == 1.0)).all() or (features is not None and not finite.all()):
-        return None
-    kept = [name for name, ok in zip(names[1:], finite) if ok]
-    return Dataset(_with_intercept(table[:, 1:][:, finite]), labels, ("intercept", *kept))
+
+def _bad_cell(rows, column_of, names, label: bool = False) -> Exception:
+    """What a failed cell check raises: _Fallback on the C reader's matrix
+    (rows None); on the csv path's, the DataError of the first cell, row by
+    row and in `names` order, that float() rejects, that is not finite, or,
+    in a `label` column, that is not 0 or 1."""
+    if rows is None:
+        return _Fallback()
+    records, numbers = rows
+    for r, record in zip(numbers, records):
+        for name in names:
+            cell = record[column_of[name]].strip(_FLOAT_SPACE)
+            try:
+                value = float(cell)
+            except ValueError:
+                return DataError(f"row {r}, column {name!r}: cannot parse {cell!r} as a number")
+            if not math.isfinite(value):
+                return DataError(f"row {r}, column {name!r}: value must be finite, got {cell!r}")
+            if label and value not in (0.0, 1.0):
+                return DataError(f"row {r}, column {name!r}: label must be 0 or 1, got {cell!r}")
 
 
 def ingest(spec: CsvSpec) -> Dataset:
@@ -352,45 +353,41 @@ def ingest(spec: CsvSpec) -> Dataset:
     the column; the label column must parse to exactly 0 or 1. Row order
     is preserved.
 
-    A file with no quote character and none of U+001C..U+001F is parsed by
-    np.loadtxt, numpy's C reader, whose result is used when it passes every
-    check the csv path makes. Any other file, and any file that fails a
-    check, is parsed from the same bytes by the csv path, which is the
-    reference for the result and gives every error text with its row number.
+    The label and feature columns come from `_read_columns`: numpy's C
+    reader takes a file with an ASCII delimiter, no quote character and
+    none of U+001C..U+001F, and its matrix is used when it passes the checks
+    in `use`. Any other file, and any file that fails a check, is read from
+    the same bytes by the csv path, whose matrix meets the same checks; it
+    is the reference for the result and gives every error text with its
+    row number.
     """
-    data = _read_bytes(spec.path)
-    dataset = _ingest_loadtxt(spec, data)
-    return dataset if dataset is not None else _ingest_csv(spec, data)
+    label, features = spec.label_column, spec.feature_columns
 
+    def pick(column_of, first):  # the label goes last, so the design is the matrix up to it
+        if features is not None:
+            return [*features, label]
+        cell = np.empty(1)  # a column whose first cell is not a finite number is dropped anyway
+        return [*(name for name, j in column_of.items()
+                  if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])),
+                label]
 
-def _ingest_csv(spec: CsvSpec, data: bytes) -> Dataset:
-    column_of, records, numbers = _read_csv_rows(spec, data)
-    if spec.label_column not in column_of:
-        raise UsageError(
-            f"label column {spec.label_column!r} not found; file has {list(column_of)}"
-        )
-
-    labels = np.empty(len(records))
-    label_idx = column_of[spec.label_column]
-    parsed = _parse_column(records, label_idx, labels)
-    if not (parsed and ((labels == 0.0) | (labels == 1.0)).all()):
-        for r, record in zip(numbers, records):
-            cell = record[label_idx].strip(_FLOAT_SPACE)
-            if _parse_number(cell, r, spec.label_column) not in (0.0, 1.0):
-                raise DataError(
-                    f"row {r}, column {spec.label_column!r}: label must be 0 or 1, "
-                    f"got {cell!r}"
-                )
-
-    if spec.feature_columns is not None:
-        missing = [c for c in spec.feature_columns if c not in column_of]
+    def use(column_of, names, matrix, rows):
+        if label not in column_of:
+            raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
+        labels = matrix[:, -1]
+        if not ((labels == 0.0) | (labels == 1.0)).all():
+            raise _bad_cell(rows, column_of, [label], label=True)
+        missing = [name for name in names[:-1] if name not in column_of]
         if missing:
             raise UsageError(f"feature columns not found: {missing}")
-        columns = [(name, column_of[name]) for name in spec.feature_columns]
-    else:
-        columns = [(name, j) for name, j in column_of.items() if name != spec.label_column]
-    design, kept = _design_matrix(records, numbers, columns, spec.feature_columns is None)
-    return Dataset(design, labels, ("intercept", *kept))
+        finite = np.isfinite(matrix[:, 1:-1]).all(axis=0)
+        if features is not None and not finite.all():
+            raise _bad_cell(rows, column_of, names[:-1])
+        kept = [name for name, ok in zip(names, finite) if ok]
+        design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
+        return Dataset(design, labels, ("intercept", *kept))
+
+    return _read_columns(spec, _read_bytes(spec.path), pick, use)
 
 
 def _fit_payload(result: FitResult, names) -> dict:
@@ -519,22 +516,6 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
     return names, beta
 
 
-def _scores(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return matrix @ beta
-
-
-def _scores_loadtxt(spec: CsvSpec, data: bytes, features, beta: np.ndarray) -> np.ndarray | None:
-    """x·beta of every row by `_loadtxt_columns`, or None unless every check
-    of the csv path passes."""
-    read = _loadtxt_columns(
-        spec, data, lambda column_of, _: features if column_of.keys() >= set(features) else None)
-    if read is None or not np.isfinite(read[1]).all():
-        return None
-    scores = _scores(_with_intercept(read[1]), beta)
-    return scores if np.isfinite(scores).all() else None
-
-
 def cmd_predict(
     model_path: str,
     csv_path: str,
@@ -545,26 +526,30 @@ def cmd_predict(
 ) -> RunOutput:
     """Score new rows with a fitted-model json: per-row probability and label.
 
-    The model's columns are read as in `ingest`: by np.loadtxt when
-    the file allows it and every cell and score is finite, otherwise by the
-    csv path, which gives every error text.
+    The model's feature columns come from `_read_columns`, as in `ingest`:
+    the C reader's matrix is used when every cell and every score x·beta is
+    finite; otherwise the csv path reads the file and gives the error text.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
     names, beta = _load_model(model_path)
-    spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    data = _read_bytes(csv_path)
-    scores = _scores_loadtxt(spec, data, names[1:], beta)
-    if scores is None:
-        column_of, records, numbers = _read_csv_rows(spec, data)
-        missing = [c for c in names[1:] if c not in column_of]
+
+    def use(column_of, features, matrix, rows):
+        missing = [name for name in features if name not in column_of]
         if missing:
             raise DataError(f"{csv_path}: model feature columns not found: {missing}")
-        columns = [(name, column_of[name]) for name in names[1:]]
-        scores = _scores(_design_matrix(records, numbers, columns)[0], beta)
+        if not np.isfinite(matrix).all():
+            raise _bad_cell(rows, column_of, features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = matrix @ beta
         finite = np.isfinite(scores)
         if not finite.all():
-            raise DataError(f"row {numbers[finite.argmin()]}: score x·beta is not finite")
+            raise _Fallback() if rows is None else DataError(
+                f"row {rows[1][finite.argmin()]}: score x·beta is not finite")
+        return scores
+
+    spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
+    scores = _read_columns(spec, _read_bytes(csv_path), lambda *_: names[1:], use)
     return RunOutput(
         out,
         {

@@ -45,9 +45,19 @@ def logit(p):
 
 
 def _log_lik(labels: np.ndarray, scores: np.ndarray) -> float:
-    # sum_i [y_i s_i - log(1 + exp(s_i))], the softplus kept finite for |s| > ~700
-    softplus = np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
-    return float(labels @ scores - softplus.sum())
+    # sum_i [y_i s_i - log(1 + exp(s_i))] = -sum_i softplus((1 - 2 y_i) s_i): one sum
+    # of terms <= 0, where two sums of size sum_i |s_i| would cancel on separated
+    # data; the softplus is kept finite for |s| > ~700
+    t = (1.0 - 2.0 * labels) * scores
+    return float(-(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum())
+
+
+def _intercept_design(n: int, k: int) -> np.ndarray:
+    """An n × (1 + k) design: the intercept column of ones, then k columns of
+    NaN for the caller to fill."""
+    design = np.full((n, 1 + k), np.nan)
+    design[:, 0] = 1.0
+    return design
 
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
@@ -114,7 +124,8 @@ class Dataset:
             feature_names = tuple(f"x{j}" for j in range(1, k + 1))
         if len(feature_names) != k:
             raise ValueError(f"expected {k} feature names, got {len(feature_names)}")
-        design = np.column_stack([np.ones(n), feats]) if k else np.ones((n, 1))
+        design = _intercept_design(n, k)
+        design[:, 1:] = feats
         return cls(design, labels, ("intercept",) + tuple(feature_names))
 
     @property
@@ -169,7 +180,8 @@ def predict_proba(data: Dataset, coef) -> np.ndarray:
 def log_likelihood(data: Dataset, coef) -> float:
     """Bernoulli log-likelihood sum_i [y_i log pi_i + (1 - y_i) log(1 - pi_i)].
 
-    Computed in the numerically stable form sum_i [y_i s_i - softplus(s_i)]
-    with s_i = x_i . beta, so saturated scores never hit log(0). Always <= 0.
+    Computed in the numerically stable form -sum_i softplus((1 - 2 y_i) s_i)
+    with s_i = x_i . beta, so saturated scores never hit log(0) and no two
+    large sums cancel. Always <= 0.
     """
     return _log_lik(data.labels, data.design @ data.check_coef(coef))

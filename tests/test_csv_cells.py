@@ -650,3 +650,48 @@ def test_separator_characters_are_left_to_the_csv_path(tmp_path):
     path = write(tmp_path, "sep.csv", "y,x,z\n0,2,4\n1,\x1c1,3\n")
     assert ingest(CsvSpec(path)).feature_names == ("intercept", "z")
 
+
+
+# ---- a missing column is reported only after the file's own errors ----------
+
+FILE_DEFECTS = {  # header, data rows, and the error the file gives whatever is read from it
+    "well formed": ("id,x,z", ["s1,1.5,1", "s2,-2,0", "s3,0.5,1"], None),
+    "long row": ("id,x,z", ["s1,1.5,1", "s2,-2,0,7", "s3,0.5,1"], "row 2: expected 3 cells, got 4"),
+    "short row": ("id,x,z", ["s1,1.5,1", "s2,-2,0", "s3,0.5"], "row 3: expected 3 cells, got 2"),
+    "duplicate header": ("id,x,x", ["s1,1.5,1", "s2,-2,0"], "{path}: duplicate column names in header"),
+    "header only": ("id,x,z", [], "{path}: no data rows"),
+}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["clean", "quoted"])
+@pytest.mark.parametrize("defect", list(FILE_DEFECTS))
+def test_a_file_error_comes_before_a_missing_column(tmp_path, capsys, defect, quoted):
+    header, rows, error = FILE_DEFECTS[defect]
+    lines = [header, *rows]
+    if quoted:  # the csv path reads every quoted file
+        lines = ['"{}",{}'.format(*line.split(",", 1)) for line in lines]
+    path = write(tmp_path, "missing.csv", "\n".join(lines) + "\n")
+    model_path = write(tmp_path, "model.json", json.dumps(
+        {"feature_names": ["intercept", "x", "y"], "coef": {"intercept": 0.5, "x": -1.0, "y": 2.0}}))
+    calls = [  # each names a column the file lacks: the label y, the feature q, the model's y
+        (["fit", path], 1, "label column 'y' not found; file has ['id', 'x', 'z']"),
+        (["fit", path, "--label-col", "z", "--features", "x,q"], 1, "feature columns not found: ['q']"),
+        (["predict", path, "--model", model_path], 2, f"{path}: model feature columns not found: ['y']"),
+    ]
+    for argv, code, missing in calls:
+        want = (2, error.format(path=path)) if error else (code, missing)
+        assert main(argv) == want[0], argv
+        assert capsys.readouterr() == ("", f"error: {want[1]}\n"), argv
+
+
+def test_a_delimiter_outside_ascii_is_left_to_the_csv_path(tmp_path, monkeypatch):
+    # the C reader's width check counts the delimiter's byte, so it takes ASCII delimiters only
+    csv_reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: csv_reads.append(spec) or read_rows(spec, data))
+    path = write(tmp_path, "section.csv", "id§x§y\na§1.5§1\nb§-2§0\nc§0.25§1\n")
+    data = ingest(CsvSpec(path, delimiter="§"))
+    assert data.feature_names == ("intercept", "x")
+    assert data.design[:, 1].tolist() == [1.5, -2.0, 0.25]
+    assert len(csv_reads) == 1

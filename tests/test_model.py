@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from logitkit import Dataset, log_likelihood, logistic, logit, predict_proba
+from logitkit import Dataset, fit_irls, log_likelihood, logistic, logit, predict_proba
 
 
 class TestLogistic:
@@ -180,3 +180,18 @@ class TestLogLikelihood:
         data = Dataset.from_features([[1.0], [-1.0]], [1, 0])
         value = log_likelihood(data, [0.0, 800.0])
         assert math.isfinite(value) and value <= 0.0
+
+    def test_separated_fit_matches_an_exactly_rounded_sum(self):
+        # the fitted scores are large on separated data: a form that subtracts two
+        # sums of size sum_i |s_i| loses about 6 of the 16 digits here
+        rng = np.random.default_rng(1)
+        feats = rng.normal(size=(32783, 2))
+        data = Dataset.from_features(feats, feats @ [1.0, -0.7] > 0)
+        result = fit_irls(data)
+        assert result.converged
+        scores = data.design @ result.coef
+        signed = (1.0 - 2.0 * data.labels) * scores
+        reference = -math.fsum(max(t, 0.0) + math.log1p(math.exp(-abs(t))) for t in signed)
+        assert result.log_lik == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert log_likelihood(data, result.coef) == result.log_lik
+        assert result.deviance == -2.0 * result.log_lik
