@@ -9,10 +9,10 @@ Exit codes: 0 for any computed result (a non-converged fit is a result),
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -200,30 +200,10 @@ def _parse_column(records, j: int, out: np.ndarray) -> bool:
     return True
 
 
-# csv.reader and np.loadtxt split a file alike only without these: a quote
-# joins lines in csv.reader, and loadtxt strips the ASCII separators
+# csv.reader and np.loadtxt split a file alike only without these bytes: a
+# quote joins lines in csv.reader, and loadtxt strips the ASCII separators
 # U+001C..U+001F around a number where float() rejects them
-_LOADTXT_UNSAFE = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _skip_cell(_cell: str) -> float:
-    return 0.0
-
-
-def _head(text: str, delimiter: str):
-    """Each non-blank csv.reader record of the quote-free `text`, with the
-    offset just past its line, read one line at a time. Lines end at LF, as
-    np.loadtxt reads a StringIO; it stops at a line holding a lone CR, where
-    csv.reader sees a line end too."""
-    end = 0
-    while end < len(text):
-        start, end = end, text.find("\n", end) + 1 or len(text)
-        line = text[start:end].rstrip("\r\n")
-        if "\r" in line:
-            return
-        record = next(csv.reader([line], delimiter=delimiter), None)
-        if record:
-            yield record, end
+_LOADTXT_UNSAFE = b'"\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
@@ -232,65 +212,53 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     file's bytes `data`; None when the csv path must read them instead, as
     when a name is not in the header.
 
-    The header and the first data row come from csv.reader, line by line.
-    loadtxt reads the chosen columns and the last one, so it rejects a short
-    row; a count of the delimiter's byte then rejects a long one, so the
-    delimiter must be ASCII. A last column that is not chosen is parsed as
-    numbers while its first cell is one; otherwise, or on a second try when a
-    later cell is not, a constant converter takes it, the only Python call
-    per row. The caller checks the values themselves.
+    The file is framed once, on its bytes after any BOM. Its lines end at LF,
+    and a line that is empty or a lone CR is blank. Every other line must hold
+    as many bytes of the delimiter as the header, so the delimiter must be
+    ASCII (such a byte is never part of a longer UTF-8 sequence), and none may
+    be longer than csv.field_size_limit() bytes, so csv.reader would refuse no
+    field. The header and the first data row are split by csv.reader; loadtxt
+    reads only the chosen columns, from the first data row on, and must give
+    one row per non-blank line (it refuses a line that a lone CR splits). The
+    caller checks the values themselves.
     """
-    delimiter, wanted = spec.delimiter, 1 + spec.has_header
-    if not delimiter.isascii():
+    delimiter, header = spec.delimiter, int(spec.has_header)
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if len(data) <= start or not delimiter.isascii() or any(b in data for b in _LOADTXT_UNSAFE):
+        return None
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.r_[start, ends[:-1] + 1]
+    lengths = ends - starts
+    lines = np.flatnonzero((lengths > 1) | ((lengths == 1) & (codes[ends - 1] != ord("\r"))))
+    # a line's count runs to the next line's start, over its LF, which is no delimiter byte
+    counts = np.add.reduceat(codes == ord(delimiter), starts, dtype=np.int32)[lines]
+    if len(lines) <= header or (counts != counts[0]).any() or lengths.max() > csv.field_size_limit():
         return None
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError:  # the csv path names the undecodable byte
+        top, first = (next(csv.reader([data[starts[i]:ends[i]].decode()], delimiter=delimiter))
+                      for i in lines[[0, header]])
+    except (UnicodeDecodeError, csv.Error):  # a bad byte, or a lone CR inside the line
         return None
-    if any(char in text for char in _LOADTXT_UNSAFE):
-        return None
-    try:  # the csv path reports an oversized field with its row
-        head = list(itertools.islice(_head(text, delimiter), wanted))
-    except csv.Error:
-        return None
-    if len(head) < wanted:
-        return None
-    (top, end), (first, _) = head[0], head[-1]
-    start = end if spec.has_header else 0
-    column_of, last = _header_map(spec, top), len(top) - 1
-    if len(column_of) != len(top) or len(first) != len(top):
-        return None
-    # csv.reader refuses a field longer than its limit; where every block of
-    # half the limit holds a line end, no line is that long
-    block = csv.field_size_limit() // 2
-    if any(text.find("\n", i, i + block) < 0 for i in range(start, len(text) - block + 1, block)):
+    column_of = _header_map(spec, top)
+    if not len(column_of) == len(top) == len(first) == counts[0] + 1:
         return None
     names = pick(column_of, first)
     if not column_of.keys() >= set(names):
         return None
-    usecols = [column_of[name] for name in names]
-    tries = [None]
-    if last not in usecols:
-        usecols.append(last)
-        skip = {last: _skip_cell}
-        tries = [None, skip] if _parse_column([first], last, np.empty(1)) else [skip]
-    lines = io.StringIO(text)
-    for converters in tries:
-        lines.seek(start)
-        try:  # the text holds a data row, so loadtxt has no empty-input warning to give
-            table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2,
-                               usecols=usecols, converters=converters)
-            break
-        except (ValueError, TypeError):
-            pass
-    else:
+    stream = io.BytesIO(data)
+    stream.seek(starts[lines[header]])
+    try:  # the stream holds a data row, so loadtxt has no empty-input warning to give
+        table = np.loadtxt(stream, delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8",
+                           usecols=[column_of[name] for name in names])
+    except (ValueError, TypeError):
         return None
-    # an ASCII byte is never part of a longer UTF-8 sequence
-    delimiters = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(delimiter))
-    if delimiters - text.count(delimiter, 0, start) != len(table) * last:
+    if len(table) != len(lines) - header:
         return None
     matrix = _intercept_design(len(table), len(names))
-    matrix[:, 1:] = table[:, : len(names)]
+    matrix[:, 1:] = table
     return column_of, names, matrix
 
 
@@ -351,12 +319,14 @@ def ingest(spec: CsvSpec) -> Dataset:
 
     Cell-level failures raise DataError naming the 1-based data row and
     the column; the label column must parse to exactly 0 or 1. Row order
-    is preserved.
+    is preserved. A column named intercept is a DataError, since the
+    intercept's coefficient goes by that name.
 
     The label and feature columns come from `_read_columns`: numpy's C
-    reader takes a file with an ASCII delimiter, no quote character and
-    none of U+001C..U+001F, and its matrix is used when it passes the checks
-    in `use`. Any other file, and any file that fails a check, is read from
+    reader takes a file with an ASCII delimiter, no quote character, none
+    of U+001C..U+001F and the header's width on every line, reads only
+    those columns, and its matrix is used when it passes the checks in
+    `use`. Any other file, and any file that fails a check, is read from
     the same bytes by the csv path, whose matrix meets the same checks; it
     is the reference for the result and gives every error text with its
     row number.
@@ -385,7 +355,8 @@ def ingest(spec: CsvSpec) -> Dataset:
             raise _bad_cell(rows, column_of, names[:-1])
         kept = [name for name, ok in zip(names, finite) if ok]
         design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
-        return Dataset(design, labels, ("intercept", *kept))
+        with _reraise(DataError):  # such as a column named intercept
+            return Dataset(design, labels, ("intercept", *kept))
 
     return _read_columns(spec, _read_bytes(spec.path), pick, use)
 
@@ -505,7 +476,7 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
     names = payload.get("feature_names")
     coef = payload.get("coef")
     if (not isinstance(names, list) or not names or names[0] != "intercept"
-            or not all(isinstance(nm, str) for nm in names)):
+            or not all(isinstance(nm, str) for nm in names) or len(set(names)) != len(names)):
         raise DataError(f"model file {path}: missing or malformed feature_names")
     try:
         beta = np.array([float(coef[nm]) for nm in names])
@@ -526,9 +497,11 @@ def cmd_predict(
 ) -> RunOutput:
     """Score new rows with a fitted-model json: per-row probability and label.
 
-    The model's feature columns come from `_read_columns`, as in `ingest`:
-    the C reader's matrix is used when every cell and every score x·beta is
-    finite; otherwise the csv path reads the file and gives the error text.
+    The model's feature columns come from `_read_columns`, as in `ingest`;
+    the C reader reads no other column, and its matrix is used when every
+    cell and every score x·beta is finite; otherwise the csv path reads the
+    file and gives the error text. A model whose feature_names repeat a name
+    is a DataError.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)

@@ -74,8 +74,9 @@ class Dataset:
     ``X = [ones(n,1) X]`` prepend) so every matrix formula stays literal.
     The data are validated here, once, and coefficients in `check_coef`, so
     the private kernels trust their input. Non-finite cells and labels
-    outside {0, 1} are rejected, never coerced. Instances are immutable
-    after construction and safe to share across threads.
+    outside {0, 1} are rejected, never coerced, and so is a repeated
+    feature name. Instances are immutable after construction and safe to
+    share across threads.
     """
 
     design: np.ndarray
@@ -103,6 +104,9 @@ class Dataset:
             )
         if names[0] != "intercept":
             raise ValueError('first feature name must be "intercept"')
+        if len(set(names)) != len(names):
+            repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+            raise ValueError(f"duplicate feature names: {repeated}")
         object.__setattr__(self, "design", _frozen_array(design))
         object.__setattr__(self, "labels", _frozen_array(labels))
         object.__setattr__(self, "feature_names", names)

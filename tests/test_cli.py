@@ -111,6 +111,13 @@ class TestIngest:
         assert data.feature_names == ("intercept", "col2")
         assert np.array_equal(data.labels, [1.0, 0.0])
 
+    @pytest.mark.parametrize("argv", [[], ["--features", "intercept"]], ids=["auto", "explicit"])
+    def test_a_column_named_intercept_is_a_data_error(self, tmp_path, capsys, argv):
+        # its coefficient and the intercept's would share one key in the fit json
+        path = write(tmp_path, "intercept.csv", "intercept,x,y\n1,0.5,0\n2,-1,1\n3,2,1\n")
+        assert main(["fit", path, *argv]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate feature names: ['intercept']\n")
+
     def test_row_order_preserved(self, tmp_path):
         path = write(tmp_path, "ord.csv", "y,x\n0,5\n1,6\n0,7\n")
         data = ingest(CsvSpec(path))
@@ -309,9 +316,11 @@ class TestCmdPredict:
              "coef"),
             ({"feature_names": ["intercept", "x"], "coef": [0.5, 1.0]}, "coef"),
             ({"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5}}, "coef"),
+            ({"feature_names": ["intercept", "x", "x"], "coef": {"intercept": 0, "x": 1}},
+             "feature_names"),
         ],
         ids=["list", "list name", "string coef", "null coef", "huge int coef", "coef list",
-             "coef missing"],
+             "coef missing", "repeated name"],
     )
     def test_malformed_model_json_is_data_error(self, tmp_path, capsys, payload, part):
         model = write(tmp_path, "model.json", json.dumps(payload))

@@ -557,6 +557,58 @@ def test_a_skipped_last_column_that_turns_non_numeric_stays_on_the_loadtxt_reade
     assert csv_reads == []
 
 
+@pytest.fixture
+def csv_path_reads(monkeypatch):
+    """The specs of the files the csv path reads while the test runs."""
+    reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: reads.append(spec) or read_rows(spec, data))
+    return reads
+
+
+def test_a_line_within_the_csv_field_limit_stays_on_the_loadtxt_reader(tmp_path, csv_path_reads):
+    # no field of a line at most csv.field_size_limit() bytes long is one csv.reader refuses
+    long = "s" * 100_000
+    assert csv.field_size_limit() // 2 < len(long) < csv.field_size_limit()
+    path = write(tmp_path, "long.csv", f"id,x,y\n{long},1.5,1\nb,-2,0\nc,0.25,1\n")
+    got, want = ingest(CsvSpec(path)), reference_ingest(path, None)
+    assert got.feature_names == want.feature_names == ("intercept", "x")
+    assert got.design.tobytes() == want.design.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    model = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    assert cmd_predict(model_path, path).payload == reference_predict(model, path)
+    assert csv_path_reads == []
+
+
+def test_a_skipped_column_that_turns_non_numeric_late_costs_one_loadtxt_pass(
+        tmp_path, monkeypatch, csv_path_reads):
+    # predict reads x alone; y, last in the row and NA from data row 10,001 on, is skipped
+    loadtxt_calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kwargs: loadtxt_calls.append(1) or loadtxt(*args, **kwargs))
+    x = np.random.default_rng(10).normal(size=20_000).tolist()
+    rows = [f"s{i},{v!r},{'NA' if i >= 10_000 else i % 2}" for i, v in enumerate(x)]
+    path = write(tmp_path, "late-na.csv", "\n".join(["id,x,y", *rows]) + "\n")
+    model = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    got = cmd_predict(model_path, path).payload
+    assert len(loadtxt_calls) == 1
+    assert csv_path_reads == []
+    assert got == reference_predict(model, path)
+
+
+def test_a_line_of_carriage_returns_before_the_header_is_blank(tmp_path):
+    # csv.reader reads "\r\r\n" as two blank lines, the byte framing as one line whose
+    # record, with no cell, is narrower than its delimiter count says: the csv path reads it
+    path = write(tmp_path, "cr.csv", "\r\r\nx\n1\n2\n")
+    model = {"feature_names": ["intercept"], "coef": {"intercept": 0.3}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    assert cmd_predict(model_path, path).payload == reference_predict(model, path)
+
+
 # ---- cells and fields the csv path refuses -----------------------------------
 
 

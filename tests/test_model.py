@@ -93,6 +93,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="intercept"):
             Dataset(np.ones((2, 1)), [0, 1], feature_names=("const",))
 
+    def test_rejects_repeated_feature_names(self):
+        # a coefficient per name: a repeated one would be overwritten when keyed by name
+        with pytest.raises(ValueError, match=r"^duplicate feature names: \['intercept'\]$"):
+            Dataset.from_features([[1.0], [2.0]], [1, 0], feature_names=["intercept"])
+        with pytest.raises(ValueError, match=r"^duplicate feature names: \['x'\]$"):
+            Dataset(np.ones((2, 3)), [0, 1], feature_names=("intercept", "x", "x"))
+
     def test_arrays_are_immutable(self):
         data = Dataset.from_features([[1.0], [2.0]], [1, 0])
         with pytest.raises(ValueError):
