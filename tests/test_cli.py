@@ -271,6 +271,11 @@ class TestCmdPressqAndCurve:
             if p1 > 0.5:
                 assert v2 <= v1
 
+    @pytest.mark.parametrize("argv", [["pressq", "--rate", "0.3"], ["curve"]], ids=["pressq", "curve"])
+    def test_n_beyond_float_range_is_usage_error(self, capsys, argv):
+        assert main([*argv, "--n", "1" + "0" * 400]) == 1
+        assert capsys.readouterr().err == "error: n is too large to convert to float\n"
+
 
 class TestCmdPredict:
     def test_predict_matches_library(self, tmp_path, capsys):

@@ -119,3 +119,30 @@ class TestChi2Sf:
             chi2_sf(1.0, 0)
         with pytest.raises(ValueError):
             chi2_sf(1.0, -3)
+
+
+def test_chi2_sf_near_the_center_of_a_large_df():
+    # x near df at a large df, where an iterated incomplete gamma needs thousands of steps
+    assert abs(chi2_sf(20000.0, 20000) - chi2.sf(20000.0, 20000)) <= 1e-10
+
+
+@pytest.mark.parametrize("df", [2, 3, 10])
+def test_chi2_sf_of_the_smallest_subnormal_is_one(df):
+    # x/2 rounds to zero, where log(x/2) has no value
+    assert chi2_sf(5e-324, df) == 1.0
+
+
+def test_chi2_sf_finite_sum_matches_scipy_over_a_seeded_sweep():
+    rng = np.random.default_rng(20)
+    for df in [*range(1, 101), 500, 2000, 20000, 50000]:
+        top = math.log10(40 * df + 200)
+        for x in (10.0 ** rng.uniform(-12, top, 25)).tolist():
+            got, want = chi2_sf(x, df), chi2.sf(x, df)
+            assert abs(got - want) <= 1e-10, (x, df)
+            if df <= 100 and want > 1e-300:
+                assert abs(got - want) <= 1e-12 * want, (x, df)
+
+
+def test_chi2_sf_df2_is_exp_exactly():
+    for x in np.linspace(0.0, 1500.0, 3001).tolist():
+        assert chi2_sf(x, 2) == math.exp(-x / 2)
