@@ -76,13 +76,12 @@ def loocv(data: Dataset, config: FitConfig = FitConfig(), threshold: float = 0.5
     errors = []
     non_converged = 0
     for i in range(data.n):
-        train = data.without_row(i)
-        ones = float(train.labels.sum())
-        if ones == 0.0 or ones == train.n:
-            predicted = int(train.labels[0])
+        ones = total_ones - data.labels[i]  # in the fold's n - 1 training labels
+        if ones == 0.0 or ones == data.n - 1:
+            predicted = int(ones > 0.0)
             non_converged += 1
         else:
-            fold_fit = fit_irls(train, config)
+            fold_fit = fit_irls(data.without_row(i), config)
             if not fold_fit.converged:
                 non_converged += 1
             predicted = int(data.design[i] @ fold_fit.coef > cut)

@@ -207,10 +207,11 @@ _LOADTXT_UNSAFE = b'"\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
-    """The header map, the names `pick(column_of, first_record)` chooses and
+    """The header map, the names `pick(column_of, first_record)` chooses,
     their columns behind the intercept column, parsed by np.loadtxt over the
-    file's bytes `data`; None when the csv path must read them instead, as
-    when a name is not in the header.
+    file's bytes `data`, and rows with no records but the data row numbers;
+    None when the csv path must read them instead, as when a name is not in
+    the header.
 
     The file is framed once, on its bytes after any BOM. Its lines end at LF,
     and a line that is empty or a lone CR is blank. Every other line must hold
@@ -259,30 +260,28 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
         return None
     matrix = _intercept_design(len(table), len(names))
     matrix[:, 1:] = table
-    return column_of, names, matrix
-
-
-class _Fallback(Exception):
-    """A check failed on the C reader's matrix: the csv path reads the file."""
+    # line i is csv.reader's record i: loadtxt took no lone CR, and no quote joins lines
+    return column_of, names, matrix, ((), lines[header:] - (lines[0] if header else -1))
 
 
 def _read_columns(spec: CsvSpec, data: bytes, pick, use):
     """use(column_of, names, matrix, rows) on the file's header map, the
-    names that `pick(column_of, first_record)` chooses, and a float matrix
-    of the intercept column of ones followed by their columns, column k
-    holding names[k - 1].
+    names that `pick(column_of, first_record)` chooses, a float matrix of
+    the intercept column of ones followed by their columns, column k
+    holding names[k - 1], and rows (records, numbers): the records behind
+    the matrix rows and their data row numbers.
 
-    `_loadtxt_columns` reads them when it can, with rows None; if it gives
-    up, or a check in `use` fails and raises _Fallback, the csv path reads
-    the same bytes, with rows (records, numbers), and is the only source of
-    error texts. There a name not in the header, or a column with a cell
-    that is not a number, is all NaN.
+    `_loadtxt_columns` reads them when it can, with no records; if it gives
+    up, or `use` raises a DataError on its matrix, the csv path reads the
+    same bytes, runs `use` again with the records, and so states every
+    error. There a name not in the header, or a column with a cell that is
+    not a number, is all NaN.
     """
     read = _loadtxt_columns(spec, data, pick)
     if read is not None:
         try:
-            return use(*read, None)
-        except _Fallback:
+            return use(*read)
+        except DataError:
             pass
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
@@ -293,13 +292,11 @@ def _read_columns(spec: CsvSpec, data: bytes, pick, use):
     return use(column_of, names, matrix, (records, numbers))
 
 
-def _bad_cell(rows, column_of, names, label: bool = False) -> Exception:
-    """What a failed cell check raises: _Fallback on the C reader's matrix
-    (rows None); on the csv path's, the DataError of the first cell, row by
-    row and in `names` order, that float() rejects, that is not finite, or,
-    in a `label` column, that is not 0 or 1."""
-    if rows is None:
-        return _Fallback()
+def _bad_cell(rows, column_of, names, label: bool = False) -> DataError:
+    """The DataError of a failed cell check: that of the first record's cell,
+    row by row and in `names` order, that float() rejects, that is not
+    finite, or, in a `label` column, that is not 0 or 1. Without records,
+    as on the C reader's matrix, it names no cell."""
     records, numbers = rows
     for r, record in zip(numbers, records):
         for name in names:
@@ -312,6 +309,7 @@ def _bad_cell(rows, column_of, names, label: bool = False) -> Exception:
                 return DataError(f"row {r}, column {name!r}: value must be finite, got {cell!r}")
             if label and value not in (0.0, 1.0):
                 return DataError(f"row {r}, column {name!r}: label must be 0 or 1, got {cell!r}")
+    return DataError(f"a cell in columns {names} failed its check")
 
 
 def ingest(spec: CsvSpec) -> Dataset:
@@ -326,10 +324,10 @@ def ingest(spec: CsvSpec) -> Dataset:
     reader takes a file with an ASCII delimiter, no quote character, none
     of U+001C..U+001F and the header's width on every line, reads only
     those columns, and its matrix is used when it passes the checks in
-    `use`. Any other file, and any file that fails a check, is read from
-    the same bytes by the csv path, whose matrix meets the same checks; it
-    is the reference for the result and gives every error text with its
-    row number.
+    `use`, Dataset's own included. Any other file, and any file whose
+    matrix fails a check with a DataError, is read from the same bytes by
+    the csv path, whose matrix meets the same checks; it is the reference
+    for the result and gives every error text with its row number.
     """
     label, features = spec.label_column, spec.feature_columns
 
@@ -499,9 +497,9 @@ def cmd_predict(
 
     The model's feature columns come from `_read_columns`, as in `ingest`;
     the C reader reads no other column, and its matrix is used when every
-    cell and every score x·beta is finite; otherwise the csv path reads the
-    file and gives the error text. A model whose feature_names repeat a name
-    is a DataError.
+    cell and every score x·beta is finite; otherwise `use` raises a
+    DataError, and the csv path reads the file and states it. A model
+    whose feature_names repeat a name is a DataError.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
@@ -517,8 +515,7 @@ def cmd_predict(
             scores = matrix @ beta
         finite = np.isfinite(scores)
         if not finite.all():
-            raise _Fallback() if rows is None else DataError(
-                f"row {rows[1][finite.argmin()]}: score x·beta is not finite")
+            raise DataError(f"row {rows[1][finite.argmin()]}: score x·beta is not finite")
         return scores
 
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)

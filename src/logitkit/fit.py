@@ -12,6 +12,7 @@ private kernel on its arrays; solve_psd and pinv_psd still check each system."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,7 +45,7 @@ class FitConfig:
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if int(self.max_iter) < 1:
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.divergence_norm > 0:
             raise ValueError("divergence_norm must be positive")
@@ -90,9 +91,8 @@ def _newton_block(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
 def _newton_pass(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
     # _newton_block over all rows, one block at a time, so x is read from memory
     # once; with one block these are exactly the unblocked products, otherwise
-    # only the order of the sums over rows differs
-    if not np.isfinite(beta).all():
-        raise ValueError("logistic requires finite input")
+    # only the order of the sums over rows differs. A non-finite beta_j makes every
+    # x_ij beta_j, so every score, non-finite (0 * inf is NaN): the first block raises
     rows = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
     if x.shape[0] <= rows:
         return _newton_block(x, y, beta)

@@ -90,21 +90,19 @@ def lrt_nested(data: Dataset, reduced_cols, config: FitConfig = FitConfig()) -> 
     if df < 1:
         raise ValueError("reduced columns must be a strict subset of all columns")
 
-    full_fit = fit_irls(data, config)
-    if not full_fit.converged:
-        raise FitNotConvergedError(
-            f"full-model fit did not converge (status {full_fit.status.value})"
-        )
-    reduced_fit = fit_irls(reduced, config)
-    if not reduced_fit.converged:
-        raise FitNotConvergedError(
-            f"reduced-model fit did not converge (status {reduced_fit.status.value})"
-        )
+    deviances = {}
+    for name, model in (("full", data), ("reduced", reduced)):
+        result = fit_irls(model, config)
+        if not result.converged:
+            raise FitNotConvergedError(
+                f"{name}-model fit did not converge (status {result.status.value})"
+            )
+        deviances[name] = result.deviance
 
-    statistic = reduced_fit.deviance - full_fit.deviance
+    statistic = deviances["reduced"] - deviances["full"]
     return NestedTestResult(
-        deviance_reduced=reduced_fit.deviance,
-        deviance_full=full_fit.deviance,
+        deviance_reduced=deviances["reduced"],
+        deviance_full=deviances["full"],
         statistic=statistic,
         df=df,
         p_value=chi2_sf(max(statistic, 0.0), df),
@@ -147,7 +145,9 @@ def power_curve(n, grid_points: int = 1000) -> PowerCurve:
     grid_points = int(grid_points)
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    powers = np.arange(1, grid_points + 1) / grid_points
-    q = n * (2.0 * powers - 1.0) ** 2
-    p_values = _chi2_sf_df1(q)
+    try:
+        powers = np.arange(1, grid_points + 1) / grid_points
+        p_values = _chi2_sf_df1(n * (2.0 * powers - 1.0) ** 2)
+    except MemoryError:
+        raise ValueError(f"grid_points is too large to tabulate, got {grid_points}") from None
     return PowerCurve(n=n, powers=powers, p_values=p_values)

@@ -116,7 +116,8 @@ class Dataset:
         """Build a dataset by prepending the intercept column to raw features.
 
         ``features`` is n x k (or length n for a single regressor); k = 0 is
-        allowed and yields an intercept-only design.
+        allowed and yields an intercept-only design. Without feature_names,
+        `Dataset` names the columns x1..xk.
         """
         feats = np.asarray(features, dtype=float)
         if feats.ndim == 1:
@@ -124,13 +125,11 @@ class Dataset:
         if feats.ndim != 2:
             raise ValueError(f"features must be 1- or 2-dimensional, got {feats.ndim}")
         n, k = feats.shape
-        if feature_names is None:
-            feature_names = tuple(f"x{j}" for j in range(1, k + 1))
-        if len(feature_names) != k:
+        if feature_names is not None and len(feature_names) != k:
             raise ValueError(f"expected {k} feature names, got {len(feature_names)}")
         design = _intercept_design(n, k)
         design[:, 1:] = feats
-        return cls(design, labels, ("intercept",) + tuple(feature_names))
+        return cls(design, labels, () if feature_names is None else ("intercept", *feature_names))
 
     @property
     def n(self) -> int:

@@ -139,3 +139,8 @@ class TestEvaluateWithPressQ:
     def test_report_validation(self):
         with pytest.raises(ValueError):
             CvReport((0,), 1.5, -0.5, 1, 0)
+
+
+def test_cv_report_needs_a_subject():
+    with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+        CvReport((), 0.0, 1.0, 0, 0)

@@ -424,3 +424,39 @@ class TestDispatch:
         assert main(argv) == 0
         assert calls == [expected]
         assert json.loads(capsys.readouterr().out) == {"patched": name}
+
+
+def test_curve_with_a_grid_too_large_to_allocate_is_usage_error(capsys):
+    assert main(["curve", "--n", "10", "--grid-points", str(10**17)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: grid_points is too large to tabulate, got 100000000000000000\n")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"y,x\n1,2\n0,3\n1,\xff\n", b"y,\xff\n1,2\n0,3\n"],
+    ids=["data row", "header"],
+)
+def test_a_byte_outside_utf8_is_data_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert main(["fit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot decode {path} as UTF-8: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_predict_with_a_directory_as_model_is_data_error(tmp_path, capsys):
+    new = write(tmp_path, "new.csv", "x\n1.0\n")
+    assert main(["predict", new, "--model", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read model file {tmp_path}: ")
+
+
+def test_predict_with_an_infinite_coefficient_is_data_error(tmp_path, capsys):
+    # json reads 1e999 as inf
+    model = write(tmp_path, "model.json",
+                  '{"feature_names": ["intercept", "x"], "coef": {"intercept": 1e999, "x": 1}}')
+    new = write(tmp_path, "new.csv", "x\n1.0\n")
+    assert main(["predict", new, "--model", model]) == 2
+    assert capsys.readouterr() == ("", f"error: model file {model}: coefficients must be finite\n")

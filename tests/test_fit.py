@@ -237,3 +237,10 @@ class TestFitConfig:
         config = FitConfig()
         assert config.grad_tol == 1e-3
         assert config.max_iter == 100
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 5.0, "5"])
+def test_fit_config_max_iter_must_be_an_integer(max_iter):
+    # 2.5 would run 3 Newton steps, and "5" would fail only inside fit_irls
+    with pytest.raises(TypeError):
+        FitConfig(max_iter=max_iter)

@@ -171,3 +171,19 @@ class TestPowerCurve:
             power_curve(0)
         with pytest.raises(ValueError):
             power_curve(10, grid_points=1)
+
+
+def test_lrt_nested_names_a_reduced_fit_that_stops_at_max_iter():
+    # a seeded draw whose full fit converges in 5 steps and whose reduced fit needs 6
+    data = simulate(np.random.default_rng(57), 40, [0.0, 4.0, 0.5])
+    config = FitConfig(max_iter=5)
+    assert fit_irls(data, config).converged
+    with pytest.raises(FitNotConvergedError,
+                       match=r"^reduced-model fit did not converge \(status MaxIterations\)$"):
+        lrt_nested(data, [0, 1], config)
+
+
+def test_power_curve_names_a_grid_too_large_to_allocate():
+    # numpy refuses an 800-petabyte grid without allocating any of it
+    with pytest.raises(ValueError, match=r"^grid_points is too large to tabulate, got 10{17}$"):
+        power_curve(10, grid_points=10**17)

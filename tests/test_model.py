@@ -202,3 +202,19 @@ class TestLogLikelihood:
         assert result.log_lik == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert log_likelihood(data, result.coef) == result.log_lik
         assert result.deviance == -2.0 * result.log_lik
+
+
+def test_dataset_rejects_a_name_count_unlike_its_width():
+    with pytest.raises(ValueError, match=r"^expected 2 feature names, got 1$"):
+        Dataset(np.ones((2, 2)), [0, 1], ("intercept",))
+
+
+def test_from_features_rejects_three_dimensional_features():
+    with pytest.raises(ValueError, match=r"^features must be 1- or 2-dimensional, got 3$"):
+        Dataset.from_features(np.ones((2, 1, 1)), [0, 1])
+
+
+def test_without_row_rejects_a_row_past_the_end():
+    data = Dataset.from_features([[1.0], [2.0], [3.0]], [1, 0, 1])
+    with pytest.raises(IndexError, match=r"^row 3 out of range for n=3$"):
+        data.without_row(3)

@@ -146,3 +146,22 @@ def test_chi2_sf_finite_sum_matches_scipy_over_a_seeded_sweep():
 def test_chi2_sf_df2_is_exp_exactly():
     for x in np.linspace(0.0, 1500.0, 3001).tolist():
         assert chi2_sf(x, 2) == math.exp(-x / 2)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (np.ones(2), [1.0, 2.0], r"^a must be two-dimensional, got shape \(2,\)$"),
+        (np.empty((0, 0)), [1.0], r"^a must have at least one row and one column$"),
+        (np.eye(2), np.ones((2, 1)), r"^b must be one-dimensional, got shape \(2, 1\)$"),
+        (np.eye(1), [], r"^b must have at least one entry$"),
+    ],
+    ids=["vector matrix", "empty matrix", "matrix vector", "empty vector"],
+)
+def test_solve_psd_names_a_bad_shape(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        solve_psd(a, b)
+
+
+def test_solve_psd_takes_a_scalar_right_hand_side_for_a_one_by_one_system():
+    assert solve_psd([[4.0]], 2.0).tolist() == [0.5]
