@@ -25,7 +25,7 @@ import numpy as np
 from .classify import _threshold_cut, evaluate_with_press_q, loocv
 from .fit import FitConfig, FitResult, fit_irls
 from .inference import FitNotConvergedError, lrt_nested, power_curve, press_q
-from .model import Dataset, _intercept_design, logistic
+from .model import Dataset, _intercept_design, _logistic
 
 
 class UsageError(Exception):
@@ -155,16 +155,18 @@ def _header_map(spec: CsvSpec, top) -> dict:
 def _read_csv_rows(spec: CsvSpec, data: bytes):
     """The column index of each header name, the non-blank records of the
     file's bytes `data`, and their data row numbers (blank rows are skipped
-    but counted, so "row r" is the r-th row after the header). A leading
-    UTF-8 byte-order mark is dropped."""
+    but counted, so "row r" is the r-th row after the header). The bytes
+    are decoded as UTF-8 once, whole, so a decode error gives the bad byte's
+    offset in the file; a leading byte-order mark is then dropped."""
     path = spec.path
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    raw, error = [], None
     try:
-        for row in csv.reader(lines, delimiter=spec.delimiter):
-            raw.append(row)
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    raw, error = [], None
+    try:
+        for row in csv.reader(io.StringIO(text, newline=""), delimiter=spec.delimiter):
+            raw.append(row)
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         error = exc
     first = next((i for i, row in enumerate(raw) if row), None) if spec.has_header else -1
@@ -477,8 +479,11 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
             or not all(isinstance(nm, str) for nm in names) or len(set(names)) != len(names)):
         raise DataError(f"model file {path}: missing or malformed feature_names")
     try:
-        beta = np.array([float(coef[nm]) for nm in names])
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        values = [coef[nm] for nm in names]
+        if not all(type(v) in (int, float) for v in values):  # a JSON number; no bool, no string
+            raise TypeError("a coefficient is not a number")
+        beta = np.array(values, dtype=float)
+    except (TypeError, KeyError, OverflowError) as exc:
         raise DataError(f"model file {path}: missing or malformed coef") from exc
     if not np.isfinite(beta).all():
         raise DataError(f"model file {path}: coefficients must be finite")
@@ -525,7 +530,7 @@ def cmd_predict(
         {
             "feature_names": list(names),
             "threshold": float(threshold),
-            "probabilities": logistic(scores).tolist(),
+            "probabilities": _logistic(scores).tolist(),
             "labels": (scores > cut).astype(int).tolist(),
         },
         "predict",
@@ -632,7 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse has printed the help of -h or --help
+            return 0
         print(args.run(args).render())
         return 0
     except (UsageError, DataError, FitNotConvergedError) as exc:

@@ -6,8 +6,8 @@ information X'SX from one pass over the design in row blocks of about 256 KB,
 so X is read from memory once per step. When n fits one block the pass is the
 unblocked products bit for bit; with more blocks only the order of the sums
 over rows changes (agreement to 1e-12 of the summed magnitudes of the terms).
-The data were validated when the Dataset was built, so `fit_irls` runs the
-private kernel on its arrays; solve_psd and pinv_psd still check each system."""
+The Dataset validated the data once; past it, a non-finite score is caught
+once, in `logistic`, and a non-finite X'SX before a step once, in `solve_psd`."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, _log_lik, _logistic
+from .model import Dataset, _log_lik, logistic
 from .numerics import pinv_psd, solve_psd
 
 
@@ -80,11 +80,9 @@ _BLOCK_BYTES = 256 * 1024
 
 def _newton_block(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
     # (scores X beta, score vector X'(y - pi), information X'SX with S = diag(pi_i (1 - pi_i)))
-    # over the rows of x; ValueError on a non-finite score
+    # over the rows of x; `logistic` raises its ValueError on a non-finite score
     scores = x @ beta
-    if not np.isfinite(scores).all():
-        raise ValueError("logistic requires finite input")
-    pi = _logistic(scores)
+    pi = logistic(scores)
     return scores, x.T @ (y - pi), x.T @ (x * (pi * (1.0 - pi))[:, None])
 
 
@@ -155,12 +153,9 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
             if iterations >= config.max_iter:
                 status = FitStatus.MAX_ITERATIONS
                 break
-            if not np.isfinite(info).all():
-                status = FitStatus.DIVERGED
-                break
-            step = beta + solve_psd(info, grad)
-            iterations += 1
-            try:
+            try:  # solve_psd rejects a non-finite X'SX before the step is counted
+                step = beta + solve_psd(info, grad)
+                iterations += 1
                 scores, grad, info = _newton_pass(x, y, step)
             except ValueError:  # roll back to the last finite iterate
                 status = FitStatus.DIVERGED

@@ -8,6 +8,7 @@ whole grid at once, bit-identical to `chi2_sf` per point."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ def lrt_nested(data: Dataset, reduced_cols, config: FitConfig = FitConfig()) -> 
 
 def _sample_size(n) -> int:
     """n as an int of at least 1 that float() can hold, since Q scales with it."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     try:
@@ -142,7 +143,7 @@ def power_curve(n, grid_points: int = 1000) -> PowerCurve:
     the loop behind the classic power-versus-p-value plot.
     """
     n = _sample_size(n)
-    grid_points = int(grid_points)
+    grid_points = operator.index(grid_points)
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     try:

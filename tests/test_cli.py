@@ -460,3 +460,29 @@ def test_predict_with_an_infinite_coefficient_is_data_error(tmp_path, capsys):
     new = write(tmp_path, "new.csv", "x\n1.0\n")
     assert main(["predict", new, "--model", model]) == 2
     assert capsys.readouterr() == ("", f"error: model file {model}: coefficients must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"x,y\n" + b"1,0\n" * 5000 + b"\xff,1\n", 20_004), (b"\xef\xbb\xbfx,y\n1,\xff\n", 9)],
+    ids=["past the first 8 KiB", "after a byte-order mark"],
+)
+def test_a_decode_error_gives_the_byte_offset_in_the_file(tmp_path, capsys, data, offset):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert data[offset] == 0xFF
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot decode {path} as UTF-8: 'utf-8' codec "
+                                   f"can't decode byte 0xff in position {offset}: "
+                                   "invalid start byte\n")
+
+
+@pytest.mark.parametrize("value", ['"1.5"', '" 2 "', '"1_0"', "true", "false"])
+def test_a_coefficient_that_is_not_a_json_number_is_data_error(tmp_path, capsys, value):
+    text = '{"feature_names": ["intercept", "x"], "coef": {"intercept": 1, "x": %s}}'
+    model = write(tmp_path, "model.json", text % value)
+    new = write(tmp_path, "new.csv", "x\n1.0\n")
+    assert main(["predict", new, "--model", model]) == 2
+    assert capsys.readouterr() == ("", f"error: model file {model}: missing or malformed coef\n")
+    write(tmp_path, "model.json", text % "0")  # a JSON integer is a number
+    assert main(["predict", new, "--model", model]) == 0

@@ -7,6 +7,7 @@ JSON. Every generated CSV is also read with numpy's reader switched off, and
 the csv path must give the same exit code, stdout and stderr."""
 
 import contextlib
+import csv
 import io
 import json
 import random
@@ -182,3 +183,99 @@ def test_generated_command_lines_keep_the_contract(tmp_path, seed):
                 assert run(argv) == outcome, argv
     # every exit code is reached, so the generator covers each branch of the contract
     assert min(codes.values()) > 20, codes
+
+
+def test_help_returns_zero_with_the_usage_on_stdout():
+    for argv in (["-h"], ["--help"], *([command, "-h"] for command in COMMAND_FLAGS)):
+        code, out, err = run(argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: logitkit"), argv
+
+
+# (cells, the error text after "row r, column c: ") of a bad cell
+UNPARSABLE = (["", "NA", "abc", "0x1", "\x1c1", "1\x1f", "1 2"], "cannot parse ")
+NON_FINITE = (["nan", "inf", "-inf", "1e999", "NaN"], "value must be finite, got ")
+NOT_A_LABEL = (["2", "-1", "0.5", "1e-300"], "label must be 0 or 1, got ")
+
+
+def write_table(rng, path, names, rows, quote, newline):
+    """Write rows under the header names, some cells quoted when quote is
+    set, with random blank lines; return the delimiter and the data row
+    number of each row, blank lines counted."""
+    delimiter = rng.choice(",;\t")
+    lines, numbers = [delimiter.join(names)], []
+    for row in rows:
+        while rng.random() < 0.1:
+            lines.append("")
+        lines.append(delimiter.join(f'"{cell}"' if quote and rng.random() < 0.5 else cell
+                                    for cell in row))
+        numbers.append(len(lines) - 1)
+    path.write_bytes(newline.join(lines).encode() + b"\n")
+    return delimiter, numbers
+
+
+def command_argv(rng, tmp_path, command, path, delimiter, features):
+    """argv for a CSV command that reads every one of features."""
+    argv = [command, str(path), "--delimiter", delimiter]
+    if command == "predict":
+        model = tmp_path / "model.json"
+        coef = {name: rng.gauss(0.0, 1.0) for name in ["intercept", *features]}
+        model.write_text(json.dumps({"feature_names": list(coef), "coef": coef}))
+        return argv + ["--model", str(model)]
+    argv += ["--features", ",".join(features)]
+    return argv + ["--reduced", ""] if command == "test" else argv
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_planted_bad_cell_is_named_by_row_and_column(tmp_path, seed):
+    rng = random.Random(100 + seed)
+    for case in range(100):
+        features = rng.sample(FEATURES, rng.randint(1, 3))
+        names = rng.sample(["y", *features], len(features) + 1)
+        rows = [[rng.choice("01") if name == "y" else random_number(rng) for name in names]
+                for _ in range(rng.randint(1, 12))]
+        command = rng.choice(CSV_COMMANDS)
+        column = rng.choice(features if command == "predict" else names)  # predict reads no y
+        cells, text = rng.choice([UNPARSABLE, NON_FINITE, *[NOT_A_LABEL] * (column == "y")])
+        r = rng.randrange(len(rows))
+        rows[r][names.index(column)] = rng.choice(cells)
+        path = tmp_path / f"bad{case}.csv"
+        delimiter, numbers = write_table(rng, path, names, rows, rng.random() < 0.5,
+                                         rng.choice(["\n", "\r\n"]))
+        argv = command_argv(rng, tmp_path, command, path, delimiter, features)
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith(f"error: row {numbers[r]}, column {column!r}: {text}"), (argv, err)
+
+
+def test_separators_and_the_field_limit_read_alike_on_both_paths(tmp_path):
+    rng = random.Random(7)
+    limit = csv.field_size_limit()
+    for case in range(80):
+        features = rng.sample(FEATURES, rng.randint(1, 3))
+        names = rng.sample(["y", *features], len(features) + 1)
+        rows = [[rng.choice("01") if name == "y" else random_number(rng) for name in names]
+                for _ in range(rng.randint(2, 8))]
+        if rng.random() < 0.3:  # separators U+001C..U+001F next to numbers
+            for row in rows:
+                for j in range(len(row)):
+                    if rng.random() < 0.1:
+                        sep = rng.choice("\x1c\x1d\x1e\x1f")
+                        row[j] = rng.choice([sep + row[j], row[j] + sep, " " + sep + row[j]])
+        quote, newline = rng.random() < 0.2, rng.choice(["\n", "\r\n"])
+        if rng.random() < 0.8:  # a field, or its unquoted line, of limit - 1, limit or limit + 1
+            row, j = rng.choice(rows), rng.randrange(len(names))
+            size = limit + rng.choice([-1, 0, 1])
+            if rng.random() < 0.5:  # the line counts its delimiters and a CR, if any
+                quote = False
+                size -= len(",".join(row)) - len(row[j]) + len(newline) - 1
+            row[j] = rng.choice([" " * (size - 1) + "1", "0" * (size - 1) + "1", "a" * size])
+        path = tmp_path / f"edge{case}.csv"
+        delimiter, _ = write_table(rng, path, names, rows, quote, newline)
+        command = rng.choice(["fit", "fit", "predict"])
+        argv = command_argv(rng, tmp_path, command, path, delimiter, features)
+        if command == "fit" and rng.random() < 0.5:
+            argv = argv[:-2]  # automatic feature choice
+        outcome = run(argv)
+        with mock.patch.object(cli, "_loadtxt_columns", lambda *_: None):
+            assert run(argv) == outcome, argv

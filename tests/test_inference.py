@@ -187,3 +187,20 @@ def test_power_curve_names_a_grid_too_large_to_allocate():
     # numpy refuses an 800-petabyte grid without allocating any of it
     with pytest.raises(ValueError, match=r"^grid_points is too large to tabulate, got 10{17}$"):
         power_curve(10, grid_points=10**17)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: press_q(28.9, 0.15), lambda: press_q(28.0, 0.15), lambda: press_q("28", 0.15),
+     lambda: power_curve(10, 2.5), lambda: power_curve(10.0, 5), lambda: power_curve(10, "5")],
+    ids=["press_q n=28.9", "press_q n=28.0", "press_q n='28'", "power_curve grid_points=2.5",
+         "power_curve n=10.0", "power_curve grid_points='5'"],
+)
+def test_a_count_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_numpy_integer_counts_are_integers():
+    assert press_q(np.int64(28), 0.15) == press_q(28, 0.15)
+    assert len(power_curve(np.int32(10), np.int64(5))) == 5
