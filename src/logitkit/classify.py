@@ -9,7 +9,8 @@ import numpy as np
 
 from .fit import FitConfig, fit_irls
 from .inference import PressQResult, press_q
-from .model import Dataset, logit
+from .model import Dataset, _scores, logit
+from .numerics import _real
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class CvReport:
 def _threshold_cut(threshold) -> float:
     """The score cut logit(threshold) of the rule "label 1 when pi_i > threshold";
     ValueError unless the threshold lies strictly inside (0, 1)."""
-    threshold = float(threshold)
+    threshold = _real(threshold, "threshold")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
     return logit(threshold)
@@ -51,8 +52,7 @@ def classify(data: Dataset, coef, threshold: float = 0.5) -> np.ndarray:
     x_i . beta > 0 and sends exact boundary ties to class 0.
     """
     cut = _threshold_cut(threshold)  # exactly 0.0 at the default threshold
-    beta = data.check_coef(coef)
-    return (data.design @ beta > cut).astype(int)
+    return (_scores(data, coef)[1] > cut).astype(int)
 
 
 def loocv(data: Dataset, config: FitConfig = FitConfig(), threshold: float = 0.5) -> CvReport:

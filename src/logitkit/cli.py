@@ -26,6 +26,7 @@ from .classify import _threshold_cut, evaluate_with_press_q, loocv
 from .fit import FitConfig, FitResult, fit_irls
 from .inference import FitNotConvergedError, lrt_nested, power_curve, press_q
 from .model import Dataset, _intercept_design, _logistic
+from .numerics import _real
 
 
 class UsageError(Exception):
@@ -456,7 +457,7 @@ def cmd_curve(n: int, grid_points: int = 1000, out: str = "json") -> RunOutput:
         out,
         {
             "n": curve.n,
-            "grid_points": int(grid_points),
+            "grid_points": len(curve),
             "rows": [[p, v] for p, v in curve.rows()],
         },
         "curve",
@@ -479,11 +480,8 @@ def _load_model(path: str) -> tuple[list[str], np.ndarray]:
             or not all(isinstance(nm, str) for nm in names) or len(set(names)) != len(names)):
         raise DataError(f"model file {path}: missing or malformed feature_names")
     try:
-        values = [coef[nm] for nm in names]
-        if not all(type(v) in (int, float) for v in values):  # a JSON number; no bool, no string
-            raise TypeError("a coefficient is not a number")
-        beta = np.array(values, dtype=float)
-    except (TypeError, KeyError, OverflowError) as exc:
+        beta = np.array([_real(coef[nm], "coef") for nm in names])
+    except (TypeError, KeyError, ValueError) as exc:
         raise DataError(f"model file {path}: missing or malformed coef") from exc
     if not np.isfinite(beta).all():
         raise DataError(f"model file {path}: coefficients must be finite")
@@ -529,7 +527,7 @@ def cmd_predict(
         out,
         {
             "feature_names": list(names),
-            "threshold": float(threshold),
+            "threshold": _real(threshold, "threshold"),
             "probabilities": _logistic(scores).tolist(),
             "labels": (scores > cut).astype(int).tolist(),
         },

@@ -6,20 +6,20 @@ information X'SX from one pass over the design in row blocks of about 256 KB,
 so X is read from memory once per step. When n fits one block the pass is the
 unblocked products bit for bit; with more blocks only the order of the sums
 over rows changes (agreement to 1e-12 of the summed magnitudes of the terms).
-The Dataset validated the data once; past it, a non-finite score is caught
-once, in `logistic`, and a non-finite X'SX before a step once, in `solve_psd`."""
+The Dataset validated the data once, and `_scores` a caller's coefficients;
+past them, a non-finite score in the Newton loop is caught once, in `logistic`,
+and a non-finite X'SX before a step once, in `solve_psd`."""
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, _log_lik, logistic
-from .numerics import pinv_psd, solve_psd
+from .model import Dataset, _log_lik, _scores, logistic
+from .numerics import _count, _real, pinv_psd, solve_psd
 
 
 class FitStatus(str, Enum):
@@ -43,11 +43,11 @@ class FitConfig:
     divergence_norm: float = 1e8
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
+        if not _real(self.grad_tol, "grad_tol") > 0:
             raise ValueError("grad_tol must be positive")
-        if operator.index(self.max_iter) < 1:
+        if _count(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.divergence_norm > 0:
+        if not _real(self.divergence_norm, "divergence_norm") > 0:
             raise ValueError("divergence_norm must be positive")
 
 
@@ -99,9 +99,17 @@ def _newton_pass(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
     return np.concatenate(scores), sum(grads), sum(infos)
 
 
+def _pass_at(data: Dataset, coef):
+    # _newton_pass at a caller's coefficients, whose scores `_scores` checks;
+    # an X'SX past the float range is left as inf, with no floating-point warning
+    beta = _scores(data, coef)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _newton_pass(data.design, data.labels, beta)
+
+
 def gradient(data: Dataset, coef) -> np.ndarray:
     """Score vector g = X'(y - pi)."""
-    return _newton_pass(data.design, data.labels, data.check_coef(coef))[1]
+    return _pass_at(data, coef)[1]
 
 
 def neg_hessian(data: Dataset, coef) -> np.ndarray:
@@ -110,7 +118,7 @@ def neg_hessian(data: Dataset, coef) -> np.ndarray:
     This is the negative Hessian of the log-likelihood, symmetric positive
     semidefinite at every beta.
     """
-    return _newton_pass(data.design, data.labels, data.check_coef(coef))[2]
+    return _pass_at(data, coef)[2]
 
 
 def covariance(data: Dataset, coef) -> np.ndarray:

@@ -8,14 +8,13 @@ whole grid at once, bit-identical to `chi2_sf` per point."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fit import FitConfig, fit_irls
 from .model import Dataset, log_likelihood
-from .numerics import _chi2_sf_df1, chi2_sf
+from .numerics import _chi2_sf_df1, _count, _real, chi2_sf
 
 
 class FitNotConvergedError(RuntimeError):
@@ -110,29 +109,17 @@ def lrt_nested(data: Dataset, reduced_cols, config: FitConfig = FitConfig()) -> 
     )
 
 
-def _sample_size(n) -> int:
-    """n as an int of at least 1 that float() can hold, since Q scales with it."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    try:
-        float(n)
-    except OverflowError:
-        raise ValueError("n is too large to convert to float") from None
-    return n
-
-
 def press_q(n, error_rate) -> PressQResult:
     """Press's Q statistic n (2 rate - 1)^2 against chi-square with 1 df.
 
     rate may be either the error rate or the discriminant power 1 - rate:
     the statistic is symmetric about 1/2, so both give the same Q.
     """
-    n = _sample_size(n)
-    rate = float(error_rate)
+    n = _count(n, "n", 1)
+    rate = _real(error_rate, "error_rate")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
-    q = n * (2.0 * rate - 1.0) ** 2
+    q = _real(n, "n") * (2.0 * rate - 1.0) ** 2  # so a float must hold n
     return PressQResult(n=n, error_rate=rate, q_statistic=q, p_value=chi2_sf(q, 1))
 
 
@@ -142,13 +129,14 @@ def power_curve(n, grid_points: int = 1000) -> PowerCurve:
     Entry i (1-based) is (i / grid_points, chi2_sf(n (2 i/grid_points - 1)^2, 1)),
     the loop behind the classic power-versus-p-value plot.
     """
-    n = _sample_size(n)
-    grid_points = operator.index(grid_points)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    try:
+    n = _count(n, "n", 1)
+    scale = _real(n, "n")
+    grid_points = _count(grid_points, "grid_points", 2)
+    try:  # numpy refuses a grid it cannot hold, or past int64 makes it empty
         powers = np.arange(1, grid_points + 1) / grid_points
-        p_values = _chi2_sf_df1(n * (2.0 * powers - 1.0) ** 2)
-    except MemoryError:
-        raise ValueError(f"grid_points is too large to tabulate, got {grid_points}") from None
+        p_values = _chi2_sf_df1(scale * (2.0 * powers - 1.0) ** 2)
+    except (MemoryError, ValueError):
+        powers = ()
+    if len(powers) != grid_points:
+        raise ValueError(f"grid_points is too large to tabulate, got {grid_points}")
     return PowerCurve(n=n, powers=powers, p_values=p_values)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import _count, as_array
 
 
 def _logistic(s):
@@ -23,7 +23,7 @@ def logistic(t):
     Evaluated so the exponential never overflows; accepts a scalar or an
     array and returns the matching shape.
     """
-    arr = np.asarray(t, dtype=float)
+    arr = as_array(t, None, "t")
     if not np.isfinite(arr).all():
         raise ValueError("logistic requires finite input")
     out = _logistic(arr)
@@ -35,7 +35,7 @@ def logit(p):
 
     Inverse of `logistic` on its range.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = as_array(p, None, "p")
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(arr) | (arr <= 0.0) | (arr >= 1.0)
     if bad.any():
@@ -58,6 +58,17 @@ def _intercept_design(n: int, k: int) -> np.ndarray:
     design = np.full((n, 1 + k), np.nan)
     design[:, 0] = 1.0
     return design
+
+
+def _name_tuple(names) -> tuple[str, ...]:
+    """Feature names as a tuple of str; a lone str is not a sequence of names."""
+    try:
+        names = None if isinstance(names, str) else tuple(names)
+    except TypeError:
+        names = None
+    if names is None or not all(isinstance(name, str) for name in names):
+        raise TypeError("feature_names must be a sequence of str")
+    return names
 
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
@@ -84,10 +95,10 @@ class Dataset:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        design = as_matrix(self.design, "design")
+        design = as_array(self.design, 2, "design")
         if not (design[:, 0] == 1.0).all():
             raise ValueError("first design column must be the intercept (all ones)")
-        labels = np.asarray(self.labels, dtype=float).reshape(-1)
+        labels = as_array(self.labels, 1, "labels")
         if labels.shape[0] != design.shape[0]:
             raise ValueError(
                 f"design has {design.shape[0]} rows but labels has "
@@ -95,7 +106,7 @@ class Dataset:
             )
         if not ((labels == 0.0) | (labels == 1.0)).all():
             raise ValueError("labels must contain only 0 or 1")
-        names = tuple(self.feature_names)
+        names = _name_tuple(self.feature_names)
         if not names:
             names = ("intercept",) + tuple(f"x{j}" for j in range(1, design.shape[1]))
         if len(names) != design.shape[1]:
@@ -119,17 +130,18 @@ class Dataset:
         allowed and yields an intercept-only design. Without feature_names,
         `Dataset` names the columns x1..xk.
         """
-        feats = np.asarray(features, dtype=float)
+        feats = as_array(features, None, "features")
         if feats.ndim == 1:
             feats = feats[:, None]
         if feats.ndim != 2:
             raise ValueError(f"features must be 1- or 2-dimensional, got {feats.ndim}")
         n, k = feats.shape
-        if feature_names is not None and len(feature_names) != k:
-            raise ValueError(f"expected {k} feature names, got {len(feature_names)}")
+        names = None if feature_names is None else _name_tuple(feature_names)
+        if names is not None and len(names) != k:
+            raise ValueError(f"expected {k} feature names, got {len(names)}")
         design = _intercept_design(n, k)
         design[:, 1:] = feats
-        return cls(design, labels, () if feature_names is None else ("intercept", *feature_names))
+        return cls(design, labels, () if names is None else ("intercept", *names))
 
     @property
     def n(self) -> int:
@@ -143,7 +155,7 @@ class Dataset:
 
     def check_coef(self, coef) -> np.ndarray:
         """Validate a coefficient vector against this dataset's width."""
-        beta = as_vector(coef, "coef")
+        beta = as_array(coef, 1, "coef")
         if beta.shape[0] != self.n_coef:
             raise ValueError(
                 f"expected {self.n_coef} coefficients, got {beta.shape[0]}"
@@ -152,6 +164,7 @@ class Dataset:
 
     def without_row(self, i: int) -> "Dataset":
         """Copy of the dataset with subject i removed (for leave-one-out)."""
+        i = _count(i, "row")
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} out of range for n={self.n}")
         return Dataset(
@@ -162,7 +175,11 @@ class Dataset:
 
     def select_columns(self, cols) -> "Dataset":
         """Restrict the design to the given column indices (intercept first)."""
-        idx = sorted({int(c) for c in cols})
+        try:
+            cols = list(cols)
+        except TypeError:
+            raise TypeError("columns must be an iterable of column indices") from None
+        idx = sorted({_count(c, "column index", 0) for c in cols})
         if not idx or idx[0] != 0:
             raise ValueError("column selection must include the intercept column 0")
         if idx[-1] >= self.n_coef:
@@ -174,10 +191,21 @@ class Dataset:
         )
 
 
+def _scores(data: Dataset, coef) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's checked coefficients beta and the scores X beta. A score
+    that is not finite, as when x_i . beta overflows, is a ValueError here,
+    with no floating-point warning."""
+    beta = data.check_coef(coef)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = data.design @ beta
+    if not np.isfinite(scores).all():
+        raise ValueError("coef gives a non-finite score x·beta")
+    return beta, scores
+
+
 def predict_proba(data: Dataset, coef) -> np.ndarray:
     """Per-subject success probabilities logistic(x_i . beta)."""
-    beta = data.check_coef(coef)
-    return logistic(data.design @ beta)
+    return _logistic(_scores(data, coef)[1])
 
 
 def log_likelihood(data: Dataset, coef) -> float:
@@ -187,4 +215,4 @@ def log_likelihood(data: Dataset, coef) -> float:
     with s_i = x_i . beta, so saturated scores never hit log(0) and no two
     large sums cancel. Always <= 0.
     """
-    return _log_lik(data.labels, data.design @ data.check_coef(coef))
+    return _log_lik(data.labels, _scores(data, coef)[1])

@@ -1,4 +1,6 @@
-"""Dense symmetric linear algebra and chi-square tail probabilities.
+"""Dense symmetric linear algebra, chi-square tail probabilities, and the one
+rule for a value a caller passes the package, which `_count`, `_real` and
+`as_array` alone apply; each refusal is a TypeError or ValueError naming it.
 
 Matrices and vectors are plain float64 numpy arrays (row-major, dense);
 problem sizes here are a handful of regressors, so there is no sparse
@@ -9,35 +11,58 @@ function validates its arguments on every call.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _SYM_RTOL = 1e-10
+_MAX_DF = 10**6  # chi2_sf sums df//2 terms
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
+def _count(v, name: str, least: int | None = None) -> int:
+    """v as an int of at least `least` if given: what operator.index takes, but no bool."""
+    try:
+        count = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        count = None
+    if count is None:
+        raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
+
+
+def _real(v, name: str) -> float:
+    """v as a float: a numbers.Real other than a bool, which a float can hold."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(v).__name__}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to convert to float") from None
+
+
+def as_array(v, ndim: int | None, name: str) -> np.ndarray:
+    """v as a float64 array, which numpy must read with a bool, integer or real
+    dtype; with ndim 1 or 2, also of that many dimensions (a scalar is a vector
+    of one), with at least one entry, all of them finite."""
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # nesting that numpy cannot make rectangular
+        raise TypeError(f"{name} must be an array of numbers, got ragged nesting") from None
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be an array of numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if ndim is None:
+        return arr
+    if arr.ndim == 0 and ndim == 1:
         arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, got shape {arr.shape}")
     if arr.size < 1:
-        raise ValueError(f"{name} must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
+        raise ValueError(f"{name} must have at least one {('entry', 'row and one column')[ndim - 1]}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -51,7 +76,7 @@ def _inverse_eigs(a) -> tuple[np.ndarray, np.ndarray]:
     matching the MATLAB pinv default, so rank-deficient systems get
     minimum-norm solutions instead of noise amplification.
     """
-    a = as_matrix(a, "a")
+    a = as_array(a, 2, "a")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = float(np.abs(a).max())
@@ -73,7 +98,7 @@ def solve_psd(a, b) -> np.ndarray:
     identical inputs.
     """
     inv, eigvecs = _inverse_eigs(a)
-    b = as_vector(b, "b")
+    b = as_array(b, 1, "b")
     if b.shape[0] != inv.shape[0]:
         raise ValueError(
             f"dimension mismatch: matrix is {inv.shape[0]}x{inv.shape[0]}, "
@@ -113,13 +138,14 @@ def chi2_sf(x, df) -> float:
     ----------
     x : nonnegative real
         Point at which to evaluate the upper tail.
-    df : positive integer
-        Degrees of freedom.
+    df : integer from 1 to 1,000,000
+        Degrees of freedom. The bound caps a call at 500,000 terms; a test
+        that drops more columns would need a design wider than memory holds.
     """
-    df = operator.index(df)
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    x = float(x)
+    df = _count(df, "df", 1)
+    if df > _MAX_DF:
+        raise ValueError(f"df must be at most {_MAX_DF}, got {df}")
+    x = _real(x, "x")
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"chi2_sf requires finite x >= 0, got {x}")
     half = 0.5 * x
