@@ -8,7 +8,8 @@ unblocked products bit for bit; with more blocks only the order of the sums
 over rows changes (agreement to 1e-12 of the summed magnitudes of the terms).
 The Dataset validated the data once, and `_scores` a caller's coefficients;
 past them, a non-finite score in the Newton loop is caught once, in `logistic`,
-and a non-finite X'SX before a step once, in `solve_psd`."""
+and a non-finite X'SX once: before a step in `solve_psd`, and after the loop in
+`_covariance`, the one covariance routine, which `covariance` also calls."""
 
 from __future__ import annotations
 
@@ -115,20 +116,25 @@ def gradient(data: Dataset, coef) -> np.ndarray:
 def neg_hessian(data: Dataset, coef) -> np.ndarray:
     """Observed information X'SX with S = diag(pi_i (1 - pi_i)).
 
-    This is the negative Hessian of the log-likelihood, symmetric positive
-    semidefinite at every beta.
+    This is the negative Hessian of the log-likelihood, positive semidefinite
+    at every beta and symmetric up to rounding, which `solve_psd` allows for.
     """
     return _pass_at(data, coef)[2]
+
+
+def _covariance(info: np.ndarray) -> np.ndarray:
+    # the pseudoinverse of X'SX, or NaN throughout once X'SX has left the float range
+    return pinv_psd(info) if np.isfinite(info).all() else np.full(info.shape, np.nan)
 
 
 def covariance(data: Dataset, coef) -> np.ndarray:
     """Asymptotic covariance of the MLE, (X'SX)^-1.
 
     The positive-definite convention: the Hessian itself is -X'SX, so its
-    negation is inverted and variances come out nonnegative. Singular
-    information falls back to the pseudoinverse.
+    negation is inverted and variances come out nonnegative. Singular X'SX
+    gives the pseudoinverse, and one past the float range a matrix of NaN.
     """
-    return pinv_psd(neg_hessian(data, coef))
+    return _covariance(neg_hessian(data, coef))
 
 
 def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
@@ -169,7 +175,7 @@ def fit_irls(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
                 status = FitStatus.DIVERGED
                 break
             beta = step
-        cov = pinv_psd(info) if np.isfinite(info).all() else np.full(info.shape, np.nan)
+        cov = _covariance(info)
     log_lik = _log_lik(y, scores)
     return FitResult(
         coef=beta,

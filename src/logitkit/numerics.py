@@ -72,21 +72,21 @@ def _inverse_eigs(a) -> tuple[np.ndarray, np.ndarray]:
     """Check that a is a finite, square, symmetric matrix, eigendecompose it
     and invert its nonzero spectrum.
 
-    Eigenvalues below max(dim) * eps * |lambda|_max count as exact zeros,
-    matching the MATLAB pinv default, so rank-deficient systems get
+    Eigenvalues at or below max(dim) * eps * |lambda|_max count as exact
+    zeros, matching the MATLAB pinv default, so rank-deficient systems get
     minimum-norm solutions instead of noise amplification.
     """
     a = as_array(a, 2, "a")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = float(np.abs(a).max())
-    if float(np.abs(a - a.T).max()) > _SYM_RTOL * max(scale, 1e-300):
+    # a - a.T is exactly antisymmetric in IEEE arithmetic, so its largest entry
+    # is also its largest magnitude
+    if float((a - a.T).max()) > _SYM_RTOL * max(float(np.abs(a).max()), 1e-300):
         raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
-    cutoff = max(a.shape) * _EPS * float(np.abs(eigvals).max())
-    inv = np.zeros_like(eigvals)
-    keep = np.abs(eigvals) > cutoff
-    inv[keep] = 1.0 / eigvals[keep]
+    # eigh's spectrum ascends, so |lambda|_max is at one of its two ends
+    cutoff = max(a.shape) * _EPS * max(-float(eigvals[0]), float(eigvals[-1]))
+    inv = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=np.abs(eigvals) > cutoff)
     return inv, eigvecs
 
 

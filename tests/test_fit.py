@@ -218,6 +218,18 @@ class TestFitIrls:
         assert np.isnan(result.std_errors).all()
         assert report.n == 30
 
+    def test_covariance_past_the_float_range_is_the_fits_nan_matrix(self):
+        # x_i^2 = 1e400 overflows X'SX at beta = 0: the fit stops Diverged there,
+        # and covariance there is the same NaN matrix, with no warning
+        data = Dataset.from_features([[1e200], [2e200], [-1e200]], [1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_irls(data)
+            cov = covariance(data, result.coef)
+        assert result.status is FitStatus.DIVERGED
+        assert cov.shape == (2, 2) and np.isnan(cov).all()
+        assert np.array_equal(cov, result.covariance, equal_nan=True)
+
 
 class TestFitConfig:
     @pytest.mark.parametrize(
