@@ -210,11 +210,10 @@ _LOADTXT_UNSAFE = b'"\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
-    """The header map, the names `pick(column_of, first_record)` chooses,
+    """The header map, the names `pick(column_of, first_record)` chooses, and
     their columns behind the intercept column, parsed by np.loadtxt over the
-    file's bytes `data`, and rows with no records but the data row numbers;
-    None when the csv path must read them instead, as when a name is not in
-    the header.
+    file's bytes `data`; None when the csv path must read them instead, as
+    when a name is not in the header.
 
     The file is framed once, on its bytes after any BOM. Its lines end at LF,
     and a line that is empty or a lone CR is blank. Every other line must hold
@@ -263,44 +262,42 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
         return None
     matrix = _intercept_design(len(table), len(names))
     matrix[:, 1:] = table
-    # line i is csv.reader's record i: loadtxt took no lone CR, and no quote joins lines
-    return column_of, names, matrix, ((), lines[header:] - (lines[0] if header else -1))
+    return column_of, names, matrix
 
 
 def _read_columns(spec: CsvSpec, data: bytes, pick, use):
     """use(column_of, names, matrix, rows) on the file's header map, the
     names that `pick(column_of, first_record)` chooses, a float matrix of
     the intercept column of ones followed by their columns, column k
-    holding names[k - 1], and rows (records, numbers): the records behind
-    the matrix rows and their data row numbers.
+    holding names[k - 1], and rows: a call that returns (records, numbers),
+    the records behind the matrix rows and their data row numbers, made
+    only when an error must name a row.
 
-    `_loadtxt_columns` reads them when it can, with no records; if it gives
-    up, or `use` raises a DataError on its matrix, the csv path reads the
-    same bytes, runs `use` again with the records, and so states every
-    error. There a name not in the header, or a column with a cell that is
-    not a number, is all NaN.
+    `_loadtxt_columns` reads the columns when it can; otherwise the csv path
+    reads them from the same bytes, and there a name not in the header, or
+    a column with a cell that is not a number, is all NaN. `use` runs once,
+    on whichever matrix was read.
     """
     read = _loadtxt_columns(spec, data, pick)
     if read is not None:
-        try:
-            return use(*read)
-        except DataError:
-            pass
+        # line i is csv.reader's record i: loadtxt took no lone CR, and no quote joins lines
+        return use(*read, lambda: _read_csv_rows(spec, data)[1:])
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
     matrix = _intercept_design(len(records), len(names))
     for k, name in enumerate(names, 1):
         if name in column_of:
             _parse_column(records, column_of[name], matrix[:, k])
-    return use(column_of, names, matrix, (records, numbers))
+    return use(column_of, names, matrix, lambda: (records, numbers))
 
 
 def _bad_cell(rows, column_of, names, label: bool = False) -> DataError:
     """The DataError of a failed cell check: that of the first record's cell,
     row by row and in `names` order, that float() rejects, that is not
-    finite, or, in a `label` column, that is not 0 or 1. Without records,
-    as on the C reader's matrix, it names no cell."""
-    records, numbers = rows
+    finite, or, in a `label` column, that is not 0 or 1, over the records
+    that `rows()` returns. It names no cell only if no record's cell fails,
+    as when np.loadtxt and float() read a cell apart."""
+    records, numbers = rows()
     for r, record in zip(numbers, records):
         for name in names:
             cell = record[column_of[name]].strip(_FLOAT_SPACE)
@@ -325,12 +322,11 @@ def ingest(spec: CsvSpec) -> Dataset:
 
     The label and feature columns come from `_read_columns`: numpy's C
     reader takes a file with an ASCII delimiter, no quote character, none
-    of U+001C..U+001F and the header's width on every line, reads only
-    those columns, and its matrix is used when it passes the checks in
-    `use`, Dataset's own included. Any other file, and any file whose
-    matrix fails a check with a DataError, is read from the same bytes by
-    the csv path, whose matrix meets the same checks; it is the reference
-    for the result and gives every error text with its row number.
+    of U+001C..U+001F and the header's width on every line, and reads only
+    those columns; the csv path reads any other file from the same bytes.
+    The checks in `use`, Dataset's own included, run once on that matrix.
+    A cell error names its row from the csv reader's records, which the C
+    reader's side reads only then.
     """
     label, features = spec.label_column, spec.feature_columns
 
@@ -498,11 +494,11 @@ def cmd_predict(
 ) -> RunOutput:
     """Score new rows with a fitted-model json: per-row probability and label.
 
-    The model's feature columns come from `_read_columns`, as in `ingest`;
-    the C reader reads no other column, and its matrix is used when every
-    cell and every score x·beta is finite; otherwise `use` raises a
-    DataError, and the csv path reads the file and states it. A model
-    whose feature_names repeat a name is a DataError.
+    The model's feature columns come from `_read_columns`, as in `ingest`,
+    and no other column is read. Every cell and every score x·beta must be
+    finite; otherwise `use` raises a DataError naming the row, from the csv
+    reader's records. A model whose feature_names repeat a name is a
+    DataError.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
@@ -518,7 +514,7 @@ def cmd_predict(
             scores = matrix @ beta
         finite = np.isfinite(scores)
         if not finite.all():
-            raise DataError(f"row {rows[1][finite.argmin()]}: score x·beta is not finite")
+            raise DataError(f"row {rows()[1][finite.argmin()]}: score x·beta is not finite")
         return scores
 
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
@@ -527,7 +523,7 @@ def cmd_predict(
         out,
         {
             "feature_names": list(names),
-            "threshold": _real(threshold, "threshold"),
+            "threshold": float(threshold),
             "probabilities": _logistic(scores).tolist(),
             "labels": (scores > cut).astype(int).tolist(),
         },

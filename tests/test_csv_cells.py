@@ -600,6 +600,38 @@ def test_a_skipped_column_that_turns_non_numeric_late_costs_one_loadtxt_pass(
     assert got == reference_predict(model, path)
 
 
+def test_a_bad_cell_on_the_loadtxt_reader_runs_the_checks_once(
+        tmp_path, monkeypatch, csv_path_reads):
+    # the csv reader is consulted for the records that name the row, and no column is re-parsed
+    loadtxt_calls, parsed = [], []
+    loadtxt, parse_column = np.loadtxt, cli._parse_column
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kwargs: loadtxt_calls.append(1) or loadtxt(*args, **kwargs))
+    monkeypatch.setattr(cli, "_parse_column",
+                        lambda records, j, out: parsed.append(len(records))
+                        or parse_column(records, j, out))
+    rows = ["s0,0.5,1.5,0", "s1,-1.25,2,1", "", "s2,{x},-0.5,{y}", "s3,3,0.25,1"]
+    model = {"feature_names": ["intercept", "x", "z"],
+             "coef": {"intercept": 0.5, "x": 1e308, "z": -1.0}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    cases = [
+        (lambda path: ingest(CsvSpec(path)), "2", "2", [1, 1, 1],
+         "row 4, column 'y': label must be 0 or 1, got '2'"),
+        (lambda path: cmd_predict(model_path, path), "nan", "1", [],
+         "row 4, column 'x': value must be finite, got 'nan'"),
+        (lambda path: cmd_predict(model_path, path), "1e10", "1", [],
+         "row 4: score x·beta is not finite"),
+    ]
+    for n, (call, x, y, probes, error) in enumerate(cases):
+        path = write(tmp_path, f"bad{n}.csv", "\n".join(["id,x,z,y", *rows]).format(x=x, y=y) + "\n")
+        del loadtxt_calls[:], parsed[:], csv_path_reads[:]
+        with pytest.raises(DataError) as caught:
+            call(path)
+        assert str(caught.value) == error
+        # the only float() parses are ingest's first-row probes of id, x and z
+        assert (len(loadtxt_calls), len(csv_path_reads), parsed) == (1, 1, probes), error
+
+
 def test_a_line_of_carriage_returns_before_the_header_is_blank(tmp_path):
     # csv.reader reads "\r\r\n" as two blank lines, the byte framing as one line whose
     # record, with no cell, is narrower than its delimiter count says: the csv path reads it
