@@ -212,8 +212,7 @@ _LOADTXT_UNSAFE = b'"\x1c\x1d\x1e\x1f'
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     """The header map, the names `pick(column_of, first_record)` chooses, and
     their columns behind the intercept column, parsed by np.loadtxt over the
-    file's bytes `data`; None when the csv path must read them instead, as
-    when a name is not in the header.
+    file's bytes `data`; None when the csv path must read them instead.
 
     The file is framed once, on its bytes after any BOM. Its lines end at LF,
     and a line that is empty or a lone CR is blank. Every other line must hold
@@ -249,8 +248,6 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     if not len(column_of) == len(top) == len(first) == counts[0] + 1:
         return None
     names = pick(column_of, first)
-    if not column_of.keys() >= set(names):
-        return None
     stream = io.BytesIO(data)
     stream.seek(starts[lines[header]])
     try:  # the stream holds a data row, so loadtxt has no empty-input warning to give
@@ -265,30 +262,29 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     return column_of, names, matrix
 
 
-def _read_columns(spec: CsvSpec, data: bytes, pick, use):
-    """use(column_of, names, matrix, rows) on the file's header map, the
-    names that `pick(column_of, first_record)` chooses, a float matrix of
-    the intercept column of ones followed by their columns, column k
-    holding names[k - 1], and rows: a call that returns (records, numbers),
-    the records behind the matrix rows and their data row numbers, made
-    only when an error must name a row.
+def _read_columns(spec: CsvSpec, data: bytes, pick):
+    """The file's header map, the names that `pick(column_of, first_record)`
+    chooses, all of them header names, a float matrix of the intercept
+    column of ones followed by their columns, column k holding names[k - 1],
+    and rows: a call that returns (records, numbers), the records behind the
+    matrix rows and their data row numbers, made only when an error must
+    name a row.
 
     `_loadtxt_columns` reads the columns when it can; otherwise the csv path
-    reads them from the same bytes, and there a name not in the header, or
-    a column with a cell that is not a number, is all NaN. `use` runs once,
-    on whichever matrix was read.
+    reads them from the same bytes, and there a column with a cell that is
+    not a number is all NaN. The caller checks the matrix once, whichever
+    side read it.
     """
     read = _loadtxt_columns(spec, data, pick)
     if read is not None:
         # line i is csv.reader's record i: loadtxt took no lone CR, and no quote joins lines
-        return use(*read, lambda: _read_csv_rows(spec, data)[1:])
+        return *read, lambda: _read_csv_rows(spec, data)[1:]
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
     matrix = _intercept_design(len(records), len(names))
     for k, name in enumerate(names, 1):
-        if name in column_of:
-            _parse_column(records, column_of[name], matrix[:, k])
-    return use(column_of, names, matrix, lambda: (records, numbers))
+        _parse_column(records, column_of[name], matrix[:, k])
+    return column_of, names, matrix, lambda: (records, numbers)
 
 
 def _bad_cell(rows, column_of, names, label: bool = False) -> DataError:
@@ -324,38 +320,36 @@ def ingest(spec: CsvSpec) -> Dataset:
     reader takes a file with an ASCII delimiter, no quote character, none
     of U+001C..U+001F and the header's width on every line, and reads only
     those columns; the csv path reads any other file from the same bytes.
-    The checks in `use`, Dataset's own included, run once on that matrix.
-    A cell error names its row from the csv reader's records, which the C
-    reader's side reads only then.
+    The checks below, Dataset's own included, run once on that matrix. A
+    missing column is found in the header map, as the reader reads only
+    header names. A cell error names its row from the csv reader's records,
+    which the C reader's side reads only then.
     """
     label, features = spec.label_column, spec.feature_columns
 
     def pick(column_of, first):  # the label goes last, so the design is the matrix up to it
-        if features is not None:
-            return [*features, label]
-        cell = np.empty(1)  # a column whose first cell is not a finite number is dropped anyway
-        return [*(name for name, j in column_of.items()
-                  if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])),
-                label]
+        chosen, cell = features, np.empty(1)
+        if features is None:  # a column whose first cell is not a finite number is dropped anyway
+            chosen = [name for name, j in column_of.items()
+                      if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])]
+        return [name for name in (*chosen, label) if name in column_of]
 
-    def use(column_of, names, matrix, rows):
-        if label not in column_of:
-            raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
-        labels = matrix[:, -1]
-        if not ((labels == 0.0) | (labels == 1.0)).all():
-            raise _bad_cell(rows, column_of, [label], label=True)
-        missing = [name for name in names[:-1] if name not in column_of]
-        if missing:
-            raise UsageError(f"feature columns not found: {missing}")
-        finite = np.isfinite(matrix[:, 1:-1]).all(axis=0)
-        if features is not None and not finite.all():
-            raise _bad_cell(rows, column_of, names[:-1])
-        kept = [name for name, ok in zip(names, finite) if ok]
-        design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
-        with _reraise(DataError):  # such as a column named intercept
-            return Dataset(design, labels, ("intercept", *kept))
-
-    return _read_columns(spec, _read_bytes(spec.path), pick, use)
+    column_of, names, matrix, rows = _read_columns(spec, _read_bytes(spec.path), pick)
+    if label not in column_of:
+        raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
+    labels = matrix[:, -1]
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        raise _bad_cell(rows, column_of, [label], label=True)
+    missing = [name for name in features or () if name not in column_of]
+    if missing:
+        raise UsageError(f"feature columns not found: {missing}")
+    finite = np.isfinite(matrix[:, 1:-1]).all(axis=0)
+    if features is not None and not finite.all():
+        raise _bad_cell(rows, column_of, names[:-1])
+    kept = [name for name, ok in zip(names, finite) if ok]
+    design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
+    with _reraise(DataError):  # such as a column named intercept
+        return Dataset(design, labels, ("intercept", *kept))
 
 
 def _fit_payload(result: FitResult, names) -> dict:
@@ -496,29 +490,25 @@ def cmd_predict(
 
     The model's feature columns come from `_read_columns`, as in `ingest`,
     and no other column is read. Every cell and every score x·beta must be
-    finite; otherwise `use` raises a DataError naming the row, from the csv
-    reader's records. A model whose feature_names repeat a name is a
-    DataError.
+    finite; otherwise a DataError names the row, from the csv reader's
+    records. A model whose feature_names repeat a name is a DataError.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
     names, beta = _load_model(model_path)
-
-    def use(column_of, features, matrix, rows):
-        missing = [name for name in features if name not in column_of]
-        if missing:
-            raise DataError(f"{csv_path}: model feature columns not found: {missing}")
-        if not np.isfinite(matrix).all():
-            raise _bad_cell(rows, column_of, features)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = matrix @ beta
-        finite = np.isfinite(scores)
-        if not finite.all():
-            raise DataError(f"row {rows()[1][finite.argmin()]}: score x·beta is not finite")
-        return scores
-
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    scores = _read_columns(spec, _read_bytes(csv_path), lambda *_: names[1:], use)
+    column_of, features, matrix, rows = _read_columns(
+        spec, _read_bytes(csv_path), lambda column_of, _: [nm for nm in names[1:] if nm in column_of])
+    missing = [name for name in names[1:] if name not in column_of]
+    if missing:
+        raise DataError(f"{csv_path}: model feature columns not found: {missing}")
+    if not np.isfinite(matrix).all():
+        raise _bad_cell(rows, column_of, features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = matrix @ beta
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DataError(f"row {rows()[1][finite.argmin()]}: score x·beta is not finite")
     return RunOutput(
         out,
         {

@@ -768,6 +768,57 @@ def test_a_file_error_comes_before_a_missing_column(tmp_path, capsys, defect, qu
         assert capsys.readouterr() == ("", f"error: {want[1]}\n"), argv
 
 
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """One entry per np.loadtxt call while the test runs."""
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    return calls
+
+
+def missing_column_calls(tmp_path, path):
+    """Three calls that each name a column a file with header id,x,z lacks, with the
+    exit code and error they give a file numpy's reader takes: the label y, the
+    feature q, the model's y."""
+    model_path = write(tmp_path, "model.json", json.dumps(
+        {"feature_names": ["intercept", "x", "y"], "coef": {"intercept": 0.5, "x": -1.0, "y": 2.0}}))
+    return [
+        (["fit", path], 1, "label column 'y' not found; file has ['id', 'x', 'z']"),
+        (["fit", path, "--label-col", "z", "--features", "x,q"], 1, "feature columns not found: ['q']"),
+        (["predict", path, "--model", model_path], 2, f"{path}: model feature columns not found: ['y']"),
+    ]
+
+
+def test_a_missing_column_on_the_loadtxt_reader_is_found_in_its_header(
+        tmp_path, capsys, loadtxt_calls, csv_path_reads):
+    # the reader reads the named columns the header has; the command reports the others
+    path = write(tmp_path, "missing.csv", "id,x,z\ns1,1.5,1\ns2,-2,0\ns3,0.5,1\n")
+    for argv, code, error in missing_column_calls(tmp_path, path):
+        del loadtxt_calls[:], csv_path_reads[:]
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == ("", f"error: {error}\n"), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (1, 0), argv
+
+
+def test_an_undecodable_byte_in_a_skipped_cell_comes_before_a_missing_column(
+        tmp_path, capsys, loadtxt_calls, csv_path_reads):
+    # numpy's framing decodes the header and first data row only; loadtxt decodes the
+    # rest and gives up on the byte, so the csv path reports it with its offset in the file
+    data = b"id,x,z\ns1,1.5,1\ns2,-2,0\ns\xff3,0.5,1\n"
+    path = tmp_path / "undecodable.csv"
+    path.write_bytes(data)
+    path = str(path)
+    offset = data.index(b"\xff")
+    want = (f"error: cannot decode {path} as UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte\n")
+    for argv, _, _ in missing_column_calls(tmp_path, path):
+        del loadtxt_calls[:], csv_path_reads[:]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", want), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (1, 1), argv
+
+
 def test_a_delimiter_outside_ascii_is_left_to_the_csv_path(tmp_path, monkeypatch):
     # the C reader's width check counts the delimiter's byte, so it takes ASCII delimiters only
     csv_reads = []
