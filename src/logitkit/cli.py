@@ -203,10 +203,10 @@ def _parse_column(records, j: int, out: np.ndarray) -> bool:
     return True
 
 
-# csv.reader and np.loadtxt split a file alike only without these bytes: a
-# quote joins lines in csv.reader, and loadtxt strips the ASCII separators
-# U+001C..U+001F around a number where float() rejects them
-_LOADTXT_UNSAFE = b'"\x1c\x1d\x1e\x1f'
+# csv.reader and np.loadtxt split a file alike only without these bytes: a quote
+# joins lines in csv.reader, which refuses a NUL in Python 3.10, and loadtxt strips
+# the ASCII separators U+001C..U+001F around a number where float() rejects them
+_LOADTXT_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
@@ -214,35 +214,36 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     their columns behind the intercept column, parsed by np.loadtxt over the
     file's bytes `data`; None when the csv path must read them instead.
 
-    The file is framed once, on its bytes after any BOM. Its lines end at LF,
-    and a line that is empty or a lone CR is blank. Every other line must hold
-    as many bytes of the delimiter as the header, so the delimiter must be
-    ASCII (such a byte is never part of a longer UTF-8 sequence), and none may
-    be longer than csv.field_size_limit() bytes, so csv.reader would refuse no
-    field. The header and the first data row are split by csv.reader; loadtxt
-    reads only the chosen columns, from the first data row on, and must give
-    one row per non-blank line (it refuses a line that a lone CR splits). The
-    caller checks the values themselves.
+    Before `pick` runs, every byte is checked, so the csv path would find no
+    file error: the file decodes whole and each CR precedes an LF. Lines end
+    at LF, after any BOM; one that is empty or only a CR is blank. Every other
+    line must hold as many delimiter bytes as the header, so the delimiter
+    must be ASCII (its byte is never part of a longer UTF-8 sequence), and
+    none may be longer than csv.field_size_limit() bytes. csv.reader splits
+    the header and first data row; loadtxt reads only the chosen columns from
+    there on, one row per non-blank line. The caller checks the values.
     """
     delimiter, header = spec.delimiter, int(spec.has_header)
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    if len(data) <= start or not delimiter.isascii() or any(b in data for b in _LOADTXT_UNSAFE):
-        return None
     codes = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(codes == ord("\n"))
+    ends, cr = np.flatnonzero(codes == ord("\n")), codes == ord("\r")
+    if (len(data) <= start or not delimiter.isascii() or any(b in data for b in _LOADTXT_UNSAFE)
+            or np.count_nonzero(cr) != np.count_nonzero(cr[ends[ends > 0] - 1])):
+        return None
     if not data.endswith(b"\n"):
         ends = np.append(ends, len(data))
     starts = np.r_[start, ends[:-1] + 1]
     lengths = ends - starts
-    lines = np.flatnonzero((lengths > 1) | ((lengths == 1) & (codes[ends - 1] != ord("\r"))))
+    lines = np.flatnonzero(lengths > cr[ends - 1])
     # a line's count runs to the next line's start, over its LF, which is no delimiter byte
     counts = np.add.reduceat(codes == ord(delimiter), starts, dtype=np.int32)[lines]
     if len(lines) <= header or (counts != counts[0]).any() or lengths.max() > csv.field_size_limit():
         return None
     try:
+        data.isascii() or data.decode()  # the csv path decodes the file whole
         top, first = (next(csv.reader([data[starts[i]:ends[i]].decode()], delimiter=delimiter))
                       for i in lines[[0, header]])
-    except (UnicodeDecodeError, csv.Error):  # a bad byte, or a lone CR inside the line
+    except (UnicodeDecodeError, csv.Error):  # a byte that is not UTF-8
         return None
     column_of = _header_map(spec, top)
     if not len(column_of) == len(top) == len(first) == counts[0] + 1:
@@ -277,7 +278,7 @@ def _read_columns(spec: CsvSpec, data: bytes, pick):
     """
     read = _loadtxt_columns(spec, data, pick)
     if read is not None:
-        # line i is csv.reader's record i: loadtxt took no lone CR, and no quote joins lines
+        # line i is csv.reader's record i: the file has no lone CR, and no quote joins lines
         return *read, lambda: _read_csv_rows(spec, data)[1:]
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
@@ -316,33 +317,29 @@ def ingest(spec: CsvSpec) -> Dataset:
     is preserved. A column named intercept is a DataError, since the
     intercept's coefficient goes by that name.
 
-    The label and feature columns come from `_read_columns`: numpy's C
-    reader takes a file with an ASCII delimiter, no quote character, none
-    of U+001C..U+001F and the header's width on every line, and reads only
-    those columns; the csv path reads any other file from the same bytes.
-    The checks below, Dataset's own included, run once on that matrix. A
-    missing column is found in the header map, as the reader reads only
-    header names. A cell error names its row from the csv reader's records,
-    which the C reader's side reads only then.
+    The label and feature columns come from `_read_columns`; `pick` reports
+    a column the header lacks after the file's own errors, before any cell
+    is parsed. The checks below, Dataset's own included, run once on that
+    matrix, and a cell error names its row from the csv reader's records.
     """
     label, features = spec.label_column, spec.feature_columns
 
     def pick(column_of, first):  # the label goes last, so the design is the matrix up to it
+        if label not in column_of:
+            raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
+        missing = [name for name in features or () if name not in column_of]
+        if missing:
+            raise UsageError(f"feature columns not found: {missing}")
         chosen, cell = features, np.empty(1)
         if features is None:  # a column whose first cell is not a finite number is dropped anyway
             chosen = [name for name, j in column_of.items()
                       if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])]
-        return [name for name in (*chosen, label) if name in column_of]
+        return [*chosen, label]
 
     column_of, names, matrix, rows = _read_columns(spec, _read_bytes(spec.path), pick)
-    if label not in column_of:
-        raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
     labels = matrix[:, -1]
     if not ((labels == 0.0) | (labels == 1.0)).all():
         raise _bad_cell(rows, column_of, [label], label=True)
-    missing = [name for name in features or () if name not in column_of]
-    if missing:
-        raise UsageError(f"feature columns not found: {missing}")
     finite = np.isfinite(matrix[:, 1:-1]).all(axis=0)
     if features is not None and not finite.all():
         raise _bad_cell(rows, column_of, names[:-1])
@@ -496,12 +493,15 @@ def cmd_predict(
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
     names, beta = _load_model(model_path)
+
+    def pick(column_of, _):
+        missing = [name for name in names[1:] if name not in column_of]
+        if missing:
+            raise DataError(f"{csv_path}: model feature columns not found: {missing}")
+        return names[1:]
+
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    column_of, features, matrix, rows = _read_columns(
-        spec, _read_bytes(csv_path), lambda column_of, _: [nm for nm in names[1:] if nm in column_of])
-    missing = [name for name in names[1:] if name not in column_of]
-    if missing:
-        raise DataError(f"{csv_path}: model feature columns not found: {missing}")
+    column_of, features, matrix, rows = _read_columns(spec, _read_bytes(csv_path), pick)
     if not np.isfinite(matrix).all():
         raise _bad_cell(rows, column_of, features)
     with np.errstate(over="ignore", invalid="ignore"):

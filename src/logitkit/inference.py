@@ -116,7 +116,7 @@ def press_q(n, error_rate) -> PressQResult:
     the statistic is symmetric about 1/2, so both give the same Q.
     """
     n = _count(n, "n", 1)
-    rate = _real(error_rate, "error_rate")
+    rate = _real(error_rate, "rate")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     q = _real(n, "n") * (2.0 * rate - 1.0) ** 2  # so a float must hold n

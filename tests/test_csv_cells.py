@@ -792,19 +792,19 @@ def missing_column_calls(tmp_path, path):
 
 def test_a_missing_column_on_the_loadtxt_reader_is_found_in_its_header(
         tmp_path, capsys, loadtxt_calls, csv_path_reads):
-    # the reader reads the named columns the header has; the command reports the others
+    # the command reports a column the header lacks before numpy or the csv path reads a cell
     path = write(tmp_path, "missing.csv", "id,x,z\ns1,1.5,1\ns2,-2,0\ns3,0.5,1\n")
     for argv, code, error in missing_column_calls(tmp_path, path):
         del loadtxt_calls[:], csv_path_reads[:]
         assert main(argv) == code, argv
         assert capsys.readouterr() == ("", f"error: {error}\n"), argv
-        assert (len(loadtxt_calls), len(csv_path_reads)) == (1, 0), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (0, 0), argv
 
 
 def test_an_undecodable_byte_in_a_skipped_cell_comes_before_a_missing_column(
         tmp_path, capsys, loadtxt_calls, csv_path_reads):
-    # numpy's framing decodes the header and first data row only; loadtxt decodes the
-    # rest and gives up on the byte, so the csv path reports it with its offset in the file
+    # numpy's side decodes the whole file before the command looks for a column, gives up
+    # on the byte, and the csv path reports it with its offset in the file
     data = b"id,x,z\ns1,1.5,1\ns2,-2,0\ns\xff3,0.5,1\n"
     path = tmp_path / "undecodable.csv"
     path.write_bytes(data)
@@ -816,7 +816,59 @@ def test_an_undecodable_byte_in_a_skipped_cell_comes_before_a_missing_column(
         del loadtxt_calls[:], csv_path_reads[:]
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", want), argv
-        assert (len(loadtxt_calls), len(csv_path_reads)) == (1, 1), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (0, 1), argv
+
+
+# file bytes, the flags of fit, test and cv, or None for predict with a model of x and w,
+# and the exit code and error: file errors come first, then missing columns, then bad cells
+ERROR_ORDER = {
+    "missing feature, bad label": (
+        b"x,y\n1,0\n2,2\n", ["--features", "x,q"], 1, "feature columns not found: ['q']"),
+    "lone CR, missing label": (
+        b"x,y\n1,0\n2\r3,1\n4,0\n", ["--label-col", "w"], 2, "row 2: expected 2 cells, got 1"),
+    "lone CR, missing model column": (
+        b"x,y\n1,0\n2\r3,1\n4,0\n", None, 2, "row 2: expected 2 cells, got 1"),
+    "missing model column, bad cell": (
+        b"x,y\n1,0\nabc,1\n", None, 2, "{path}: model feature columns not found: ['w']"),
+}
+
+
+@pytest.mark.parametrize("numpy_off", [False, True], ids=["numpy reader", "csv reader"])
+@pytest.mark.parametrize("case", list(ERROR_ORDER))
+def test_file_errors_then_missing_columns_then_bad_cells(
+        tmp_path, capsys, monkeypatch, case, numpy_off):
+    data, flags, code, error = ERROR_ORDER[case]
+    path = tmp_path / "order.csv"
+    path.write_bytes(data)
+    path = str(path)
+    if numpy_off:
+        monkeypatch.setattr(cli, "_loadtxt_columns", lambda *_: None)
+    if flags is None:
+        model = {"feature_names": ["intercept", "x", "w"], "coef": {"intercept": 0.5, "x": -1.0, "w": 2.0}}
+        calls = [["predict", path, "--model", write(tmp_path, "model.json", json.dumps(model))]]
+    else:
+        calls = [["fit", path, *flags], ["test", path, *flags, "--reduced", ""], ["cv", path, *flags]]
+    for argv in calls:
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == ("", f"error: {error.format(path=path)}\n"), argv
+
+
+@pytest.mark.parametrize("command", [["fit"], ["fit", "--label-col", "w"], ["predict", "--model"]],
+                         ids=["fit", "missing label", "predict"])
+def test_a_nul_byte_in_a_skipped_cell_reads_alike_on_both_readers(
+        tmp_path, capsys, monkeypatch, command):
+    # Python 3.10's csv.reader refuses a NUL anywhere in the file, later versions take it;
+    # this one sits past the first data row, so numpy's side would not split it with csv.reader
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"id,x,y\ns1,1.5,1\ns2,-2,0\ns\x003,0.5,1\ns4,-1,1\ns5,2,0\n")
+    argv = [command[0], str(path), *command[1:]]
+    if command[0] == "predict":
+        model = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}
+        argv.append(write(tmp_path, "model.json", json.dumps(model)))
+    outcomes = [(main(argv), capsys.readouterr())]
+    monkeypatch.setattr(cli, "_loadtxt_columns", lambda *_: None)
+    outcomes.append((main(argv), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_a_delimiter_outside_ascii_is_left_to_the_csv_path(tmp_path, monkeypatch):

@@ -60,7 +60,7 @@ def small_data():
         (lambda: logistic("1"), TypeError, r"^t must be an array of numbers, got dtype <U1$"),
         (lambda: chi2_sf(10**400, 1), ValueError, r"^x is too large to convert to float$"),
         (lambda: press_q(10, 10**400), ValueError,
-         r"^error_rate is too large to convert to float$"),
+         r"^rate is too large to convert to float$"),
         (lambda: predict_proba(small_data(), [10**400, 0]), TypeError,
          r"^coef must be an array of numbers, got dtype object$"),
         (lambda: solve_psd([[1, 0], [0]], [1.0, 2.0]), TypeError,
