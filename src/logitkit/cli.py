@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 
@@ -76,7 +76,7 @@ class RunOutput:
     def render(self) -> str:
         if self.format == "json":
             try:  # strict JSON: NaN and Infinity are written as null
-                return _indented(self.payload, allow_nan=False)
+                return _indented(self.payload)
             except ValueError:
                 loose = json.loads(json.dumps(self.payload), parse_constant=lambda _: None)
                 return _indented(loose)
@@ -88,26 +88,26 @@ class RunOutput:
         return "\n".join(f"{key}\t{val}" for key, val in _flatten(self.payload))
 
 
-def _indented(obj, allow_nan: bool = True, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2, allow_nan=allow_nan) of a value `depth`
-    levels in, byte for byte. json.dumps skips its C encoder when it indents,
+def _indented(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False) of a value `depth` levels
+    in, byte for byte. json.dumps skips its C encoder when it indents,
     so a container of scalars is one C call with its items' line break and
     indent as the separator. A list of containers, such as curve's short
     rows, goes to the Python encoder whole, each line shifted by `depth`
     (an encoded string holds no line break); a dict of containers goes key
     by key."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj, allow_nan=allow_nan)
+        return json.dumps(obj, allow_nan=False)
     pad = "\n" + "  " * depth
     values = obj.values() if isinstance(obj, dict) else obj
     if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
-        text = json.dumps(obj, separators=("," + pad + "  ", ": "), allow_nan=allow_nan)
+        text = json.dumps(obj, separators=("," + pad + "  ", ": "), allow_nan=False)
         return text[0] + pad + "  " + text[1:-1] + pad + text[-1]
     if not isinstance(obj, dict):
-        return json.dumps(obj, indent=2, allow_nan=allow_nan).replace("\n", pad)
+        return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
     # a one-item dict gives each key json's own conversion to a string
-    items = (json.dumps({key: 0}, allow_nan=allow_nan)[1:-4] + ": "
-             + _indented(val, allow_nan, depth + 1) for key, val in obj.items())
+    items = (json.dumps({key: 0}, allow_nan=False)[1:-4] + ": "
+             + _indented(val, depth + 1) for key, val in obj.items())
     return "{" + ",".join(pad + "  " + item for item in items) + pad + "}"
 
 
@@ -194,11 +194,14 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
 
 def _parse_column(records, j: int, out: np.ndarray) -> bool:
     """Parse cell j of every record into `out` with float(), which strips
-    _FLOAT_SPACE; False, leaving `out` as it was, when some cell is not a
-    number. Whether the values are finite is the caller's check."""
+    _FLOAT_SPACE; False when some cell is not a number, with `out` filled up
+    to the first one. Whether the values are finite is the caller's check."""
     try:
         out[:] = np.fromiter(map(float, map(itemgetter(j), records)), float, len(records))
     except ValueError:
+        with suppress(ValueError):  # _bad_cell needs the first bad cell only: one exception
+            for k, record in enumerate(records):
+                out[k] = float(record[j])
         return False
     return True
 
@@ -210,9 +213,9 @@ _LOADTXT_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
-    """The header map, the names `pick(column_of, first_record)` chooses, and
-    their columns behind the intercept column, parsed by np.loadtxt over the
-    file's bytes `data`; None when the csv path must read them instead.
+    """As `_read_columns`, the header map, the chosen names, their columns
+    behind the intercept column, parsed by np.loadtxt over the file's bytes
+    `data`, and `row`; None when the csv path must read them instead.
 
     Before `pick` runs, every byte is checked, so the csv path would find no
     file error: the file decodes whole and each CR precedes an LF. Lines end
@@ -220,8 +223,8 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     line must hold as many delimiter bytes as the header, so the delimiter
     must be ASCII (its byte is never part of a longer UTF-8 sequence), and
     none may be longer than csv.field_size_limit() bytes. csv.reader splits
-    the header and first data row; loadtxt reads only the chosen columns from
-    there on, one row per non-blank line. The caller checks the values.
+    the header, the first data row and any line `row` asks for; loadtxt reads
+    the chosen columns from there on, one row per non-blank line.
     """
     delimiter, header = spec.delimiter, int(spec.has_header)
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
@@ -239,10 +242,12 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     counts = np.add.reduceat(codes == ord(delimiter), starts, dtype=np.int32)[lines]
     if len(lines) <= header or (counts != counts[0]).any() or lengths.max() > csv.field_size_limit():
         return None
+
+    def record(i):  # line i is csv.reader's record i: no lone CR, and no quote joins lines
+        return next(csv.reader([data[starts[i]:ends[i]].decode()], delimiter=delimiter))
     try:
         data.isascii() or data.decode()  # the csv path decodes the file whole
-        top, first = (next(csv.reader([data[starts[i]:ends[i]].decode()], delimiter=delimiter))
-                      for i in lines[[0, header]])
+        top, first = map(record, lines[[0, header]])
     except (UnicodeDecodeError, csv.Error):  # a byte that is not UTF-8
         return None
     column_of = _header_map(spec, top)
@@ -260,53 +265,47 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
         return None
     matrix = _intercept_design(len(table), len(names))
     matrix[:, 1:] = table
-    return column_of, names, matrix
+    origin = lines[0] if header else -1  # data row r is line origin + r
+    return column_of, names, matrix, lambda k: (record(lines[header + k]), lines[header + k] - origin)
 
 
 def _read_columns(spec: CsvSpec, data: bytes, pick):
     """The file's header map, the names that `pick(column_of, first_record)`
     chooses, all of them header names, a float matrix of the intercept
     column of ones followed by their columns, column k holding names[k - 1],
-    and rows: a call that returns (records, numbers), the records behind the
-    matrix rows and their data row numbers, made only when an error must
-    name a row.
+    and row: a call that returns the record behind matrix row k and its data
+    row number, for an error that must name a row.
 
-    `_loadtxt_columns` reads the columns when it can; otherwise the csv path
-    reads them from the same bytes, and there a column with a cell that is
-    not a number is all NaN. The caller checks the matrix once, whichever
-    side read it.
+    `_loadtxt_columns` reads the columns when it can, and its `row` splits
+    that one line; otherwise the csv path reads the same bytes, each column
+    up to its first cell that is not a number, and `row` indexes its records.
+    The caller checks the matrix once, whichever side read it.
     """
-    read = _loadtxt_columns(spec, data, pick)
-    if read is not None:
-        # line i is csv.reader's record i: the file has no lone CR, and no quote joins lines
-        return *read, lambda: _read_csv_rows(spec, data)[1:]
+    if (read := _loadtxt_columns(spec, data, pick)) is not None:
+        return read
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
     matrix = _intercept_design(len(records), len(names))
     for k, name in enumerate(names, 1):
         _parse_column(records, column_of[name], matrix[:, k])
-    return column_of, names, matrix, lambda: (records, numbers)
+    return column_of, names, matrix, lambda k: (records[k], numbers[k])
 
 
-def _bad_cell(rows, column_of, names, label: bool = False) -> DataError:
-    """The DataError of a failed cell check: that of the first record's cell,
-    row by row and in `names` order, that float() rejects, that is not
-    finite, or, in a `label` column, that is not 0 or 1, over the records
-    that `rows()` returns. It names no cell only if no record's cell fails,
-    as when np.loadtxt and float() read a cell apart."""
-    records, numbers = rows()
-    for r, record in zip(numbers, records):
-        for name in names:
-            cell = record[column_of[name]].strip(_FLOAT_SPACE)
-            try:
-                value = float(cell)
-            except ValueError:
-                return DataError(f"row {r}, column {name!r}: cannot parse {cell!r} as a number")
-            if not math.isfinite(value):
-                return DataError(f"row {r}, column {name!r}: value must be finite, got {cell!r}")
-            if label and value not in (0.0, 1.0):
-                return DataError(f"row {r}, column {name!r}: label must be 0 or 1, got {cell!r}")
-    return DataError(f"a cell in columns {names} failed its check")
+def _bad_cell(row, column_of, names, bad) -> DataError:
+    """The DataError of the first entry, row by row and in `names` order, that
+    a failed check's mask `bad` marks in the matrix columns of `names`. Only
+    that cell of the record `row(k)` gives is parsed again, to name the failure:
+    float() rejects it, it is not finite, or, finite, it is a label not 0 or 1."""
+    k, c = divmod(int(np.argmax(bad)), len(names))
+    (record, r), name = row(k), names[c]
+    cell = record[column_of[name]].strip(_FLOAT_SPACE)
+    try:
+        value = float(cell)
+    except ValueError:
+        return DataError(f"row {r}, column {name!r}: cannot parse {cell!r} as a number")
+    if not math.isfinite(value):
+        return DataError(f"row {r}, column {name!r}: value must be finite, got {cell!r}")
+    return DataError(f"row {r}, column {name!r}: label must be 0 or 1, got {cell!r}")
 
 
 def ingest(spec: CsvSpec) -> Dataset:
@@ -320,7 +319,7 @@ def ingest(spec: CsvSpec) -> Dataset:
     The label and feature columns come from `_read_columns`; `pick` reports
     a column the header lacks after the file's own errors, before any cell
     is parsed. The checks below, Dataset's own included, run once on that
-    matrix, and a cell error names its row from the csv reader's records.
+    matrix, and a failed one's own mask finds the cell `_bad_cell` names.
     """
     label, features = spec.label_column, spec.feature_columns
 
@@ -336,13 +335,15 @@ def ingest(spec: CsvSpec) -> Dataset:
                       if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])]
         return [*chosen, label]
 
-    column_of, names, matrix, rows = _read_columns(spec, _read_bytes(spec.path), pick)
+    column_of, names, matrix, row = _read_columns(spec, _read_bytes(spec.path), pick)
     labels = matrix[:, -1]
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        raise _bad_cell(rows, column_of, [label], label=True)
-    finite = np.isfinite(matrix[:, 1:-1]).all(axis=0)
-    if features is not None and not finite.all():
-        raise _bad_cell(rows, column_of, names[:-1])
+    bad = (labels != 0.0) & (labels != 1.0)
+    if bad.any():
+        raise _bad_cell(row, column_of, [label], bad)
+    cells = np.isfinite(matrix[:, 1:-1])
+    if features is not None and not cells.all():
+        raise _bad_cell(row, column_of, names[:-1], ~cells)
+    finite = cells.all(axis=0)
     kept = [name for name, ok in zip(names, finite) if ok]
     design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
     with _reraise(DataError):  # such as a column named intercept
@@ -487,8 +488,8 @@ def cmd_predict(
 
     The model's feature columns come from `_read_columns`, as in `ingest`,
     and no other column is read. Every cell and every score x·beta must be
-    finite; otherwise a DataError names the row, from the csv reader's
-    records. A model whose feature_names repeat a name is a DataError.
+    finite; otherwise a DataError names the row, a cell's from the mask of
+    non-finite cells. A model whose feature_names repeat a name is a DataError.
     """
     with _reraise(UsageError):
         cut = _threshold_cut(threshold)
@@ -501,14 +502,15 @@ def cmd_predict(
         return names[1:]
 
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    column_of, features, matrix, rows = _read_columns(spec, _read_bytes(csv_path), pick)
-    if not np.isfinite(matrix).all():
-        raise _bad_cell(rows, column_of, features)
+    column_of, features, matrix, row = _read_columns(spec, _read_bytes(csv_path), pick)
+    cells = np.isfinite(matrix[:, 1:])
+    if not cells.all():
+        raise _bad_cell(row, column_of, features, ~cells)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = matrix @ beta
     finite = np.isfinite(scores)
     if not finite.all():
-        raise DataError(f"row {rows()[1][finite.argmin()]}: score x·beta is not finite")
+        raise DataError(f"row {row(finite.argmin())[1]}: score x·beta is not finite")
     return RunOutput(
         out,
         {

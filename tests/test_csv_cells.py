@@ -1,6 +1,7 @@
 """Which CSV cells the command line accepts, which error a bad file reports,
 and parity of `ingest` / `cmd_predict` with a row-major reference parse."""
 
+import codecs
 import csv
 import itertools
 import json
@@ -602,7 +603,7 @@ def test_a_skipped_column_that_turns_non_numeric_late_costs_one_loadtxt_pass(
 
 def test_a_bad_cell_on_the_loadtxt_reader_runs_the_checks_once(
         tmp_path, monkeypatch, csv_path_reads):
-    # the csv reader is consulted for the records that name the row, and no column is re-parsed
+    # the failed check's mask finds the cell, numpy's side splits its one line, no column is re-parsed
     loadtxt_calls, parsed = [], []
     loadtxt, parse_column = np.loadtxt, cli._parse_column
     monkeypatch.setattr(np, "loadtxt",
@@ -629,7 +630,59 @@ def test_a_bad_cell_on_the_loadtxt_reader_runs_the_checks_once(
             call(path)
         assert str(caught.value) == error
         # the only float() parses are ingest's first-row probes of id, x and z
-        assert (len(loadtxt_calls), len(csv_path_reads), parsed) == (1, 1, probes), error
+        assert (len(loadtxt_calls), len(csv_path_reads), parsed) == (1, 0, probes), error
+
+
+def test_a_late_bad_cell_on_the_loadtxt_reader_is_named_from_its_own_line(
+        tmp_path, capsys, loadtxt_calls, csv_path_reads):
+    # BOM, CRLF and blank lines before and between the records of a file with no header:
+    # data row r is line r, blank lines counted, and numpy's side splits only that line
+    rows = [f"{i % 2},{i * 0.25!r},s{i}" for i in range(400)]
+    rows[389] = "1,nan,s389"
+    rows[397] = "2,1.5,s397"
+    lines = ["", "", *rows[:200], "", *rows[200:]]
+    path = tmp_path / "late.csv"
+    path.write_bytes(codecs.BOM_UTF8 + "\r\n".join(lines).encode() + b"\r\n")
+    model = {"feature_names": ["intercept", "col2"], "coef": {"intercept": 0.5, "col2": -1.0}}
+    model_path = write(tmp_path, "model.json", json.dumps(model))
+    calls = [
+        (["fit", str(path), "--no-header", "--label-col", "col1"],
+         "row 401, column 'col1': label must be 0 or 1, got '2'"),
+        (["predict", str(path), "--no-header", "--model", model_path],
+         "row 393, column 'col2': value must be finite, got 'nan'"),
+    ]
+    for argv, error in calls:
+        del loadtxt_calls[:], csv_path_reads[:]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {error}\n"), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (1, 0), argv
+
+
+@pytest.mark.parametrize("table, error_ab, error_ba", [
+    ('"a",b,y\n1,2,0\n3,zz,1\nqq,4,0\n',
+     "row 2, column 'b': cannot parse 'zz' as a number",
+     "row 2, column 'b': cannot parse 'zz' as a number"),
+    ('"a",b,y\n1,2,0\nqq,zz,1\n3,4,0\n',
+     "row 2, column 'a': cannot parse 'qq' as a number",
+     "row 2, column 'b': cannot parse 'zz' as a number"),
+], ids=["two columns", "one row"])
+def test_bad_cells_on_the_csv_reader_are_found_cell_by_cell(
+        tmp_path, capsys, csv_path_reads, table, error_ab, error_ba):
+    # a quoted header sends the file to the csv path, which parses a failed column up to its
+    # first bad cell; the error names the lowest row's, and within it the first name's
+    path = write(tmp_path, "quoted.csv", table)
+    calls = []
+    for features, error in [("a,b", error_ab), ("b,a", error_ba)]:
+        names = ["intercept", *features.split(",")]
+        model = {"feature_names": names, "coef": dict.fromkeys(names, 0.5)}
+        model_path = write(tmp_path, f"model-{features}.json", json.dumps(model))
+        calls += [(["fit", path, "--features", features], error),
+                  (["predict", path, "--model", model_path], error)]
+    for argv, error in calls:
+        del csv_path_reads[:]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {error}\n"), argv
+        assert len(csv_path_reads) == 1, argv
 
 
 def test_a_line_of_carriage_returns_before_the_header_is_blank(tmp_path):
