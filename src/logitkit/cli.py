@@ -137,33 +137,38 @@ _FLOAT_SPACE = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u20
 
 
 def _read_bytes(path: str) -> bytes:
+    """The file's bytes, checked once for both CSV readers as UTF-8, whole, so a
+    decode error gives the bad byte's offset in the file."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            data = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        data.isascii() or data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    return data
 
 
 def _header_map(spec: CsvSpec, top) -> dict:
     """The column index of each name in the file's first record `top`: its
-    trimmed cells, or col1..colN when the file has no header row. A repeated
-    name leaves the map shorter than `top`."""
+    trimmed cells, or col1..colN when the file has no header row. A name that
+    repeats is a DataError, whichever reader split `top`."""
     names = ([cell.strip() for cell in top] if spec.has_header
              else [f"col{j}" for j in range(1, len(top) + 1)])
-    return {name: j for j, name in enumerate(names)}
+    column_of = {name: j for j, name in enumerate(names)}
+    if len(column_of) != len(names):
+        raise DataError(f"{spec.path}: duplicate column names in header")
+    return column_of
 
 
 def _read_csv_rows(spec: CsvSpec, data: bytes):
     """The column index of each header name, the non-blank records of the
-    file's bytes `data`, and their data row numbers (blank rows are skipped
-    but counted, so "row r" is the r-th row after the header). The bytes
-    are decoded as UTF-8 once, whole, so a decode error gives the bad byte's
-    offset in the file; a leading byte-order mark is then dropped."""
-    path = spec.path
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    file's bytes `data`, which `_read_bytes` has found to be UTF-8, and their
+    data row numbers (blank rows are skipped but counted, so "row r" is the
+    r-th row after the header). A leading byte-order mark is dropped."""
+    path, text = spec.path, data.decode().removeprefix("\ufeff")
     raw, error = [], None
     try:
         for row in csv.reader(io.StringIO(text, newline=""), delimiter=spec.delimiter):
@@ -179,8 +184,6 @@ def _read_csv_rows(spec: CsvSpec, data: bytes):
         raise DataError(f"{path}: file is empty")
     numbers = [i - first for i, row in enumerate(raw) if row]
     column_of, width = _header_map(spec, records[0]), len(records[0])
-    if len(column_of) != width:
-        raise DataError(f"{path}: duplicate column names in header")
     if spec.has_header:
         records, numbers = records[1:], numbers[1:]
     if not records:
@@ -217,20 +220,21 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     behind the intercept column, parsed by np.loadtxt over the file's bytes
     `data`, and `row`; None when the csv path must read them instead.
 
-    Before `pick` runs, every byte is checked, so the csv path would find no
-    file error: the file decodes whole and each CR precedes an LF. Lines end
-    at LF, after any BOM; one that is empty or only a CR is blank. Every other
-    line must hold as many delimiter bytes as the header, so the delimiter
-    must be ASCII (its byte is never part of a longer UTF-8 sequence), and
-    none may be longer than csv.field_size_limit() bytes. csv.reader splits
-    the header, the first data row and any line `row` asks for; loadtxt reads
-    the chosen columns from there on, one row per non-blank line.
+    Every byte of `data`, which `_read_bytes` has checked, is checked before
+    the header is mapped, so the csv path would find no file error before a
+    repeated name: each CR precedes an LF. Lines end at LF, after any BOM; one
+    that is empty or only a CR is blank. Every other line must hold as many
+    delimiter bytes as the header, so the delimiter must be ASCII (no part of
+    a longer UTF-8 sequence) and not CR or LF, and none may be longer than
+    csv.field_size_limit() bytes. A line's record, its text split at the
+    delimiter, is csv.reader's; loadtxt reads from the first data row on.
     """
     delimiter, header = spec.delimiter, int(spec.has_header)
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     codes = np.frombuffer(data, np.uint8)
     ends, cr = np.flatnonzero(codes == ord("\n")), codes == ord("\r")
-    if (len(data) <= start or not delimiter.isascii() or any(b in data for b in _LOADTXT_UNSAFE)
+    if (len(data) <= start or not delimiter.isascii() or delimiter in "\r\n"
+            or any(b in data for b in _LOADTXT_UNSAFE)
             or np.count_nonzero(cr) != np.count_nonzero(cr[ends[ends > 0] - 1])):
         return None
     if not data.endswith(b"\n"):
@@ -243,17 +247,10 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     if len(lines) <= header or (counts != counts[0]).any() or lengths.max() > csv.field_size_limit():
         return None
 
-    def record(i):  # line i is csv.reader's record i: no lone CR, and no quote joins lines
-        return next(csv.reader([data[starts[i]:ends[i]].decode()], delimiter=delimiter))
-    try:
-        data.isascii() or data.decode()  # the csv path decodes the file whole
-        top, first = map(record, lines[[0, header]])
-    except (UnicodeDecodeError, csv.Error):  # a byte that is not UTF-8
-        return None
-    column_of = _header_map(spec, top)
-    if not len(column_of) == len(top) == len(first) == counts[0] + 1:
-        return None
-    names = pick(column_of, first)
+    def record(i):  # csv.reader's record i: no quote, NUL or lone CR, and each CR ends a line
+        return data[starts[i]:ends[i]].decode().removesuffix("\r").split(delimiter)
+    column_of = _header_map(spec, record(lines[0]))
+    names = pick(column_of, record(lines[header]))
     stream = io.BytesIO(data)
     stream.seek(starts[lines[header]])
     try:  # the stream holds a data row, so loadtxt has no empty-input warning to give
@@ -263,8 +260,7 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
         return None
     if len(table) != len(lines) - header:
         return None
-    matrix = _intercept_design(len(table), len(names))
-    matrix[:, 1:] = table
+    matrix = np.column_stack((np.ones(len(table)), table))
     origin = lines[0] if header else -1  # data row r is line origin + r
     return column_of, names, matrix, lambda k: (record(lines[header + k]), lines[header + k] - origin)
 
@@ -276,10 +272,11 @@ def _read_columns(spec: CsvSpec, data: bytes, pick):
     and row: a call that returns the record behind matrix row k and its data
     row number, for an error that must name a row.
 
-    `_loadtxt_columns` reads the columns when it can, and its `row` splits
-    that one line; otherwise the csv path reads the same bytes, each column
-    up to its first cell that is not a number, and `row` indexes its records.
-    The caller checks the matrix once, whichever side read it.
+    Both sides read bytes `_read_bytes` has checked and map the header with
+    `_header_map`. `_loadtxt_columns` reads the columns when it can, its `row`
+    splitting that one line; otherwise the csv path reads them, each column up
+    to its first cell that is not a number, and `row` indexes its records. The
+    caller checks the matrix once, whichever side read it.
     """
     if (read := _loadtxt_columns(spec, data, pick)) is not None:
         return read

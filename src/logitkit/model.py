@@ -54,7 +54,8 @@ def _log_lik(labels: np.ndarray, scores: np.ndarray) -> float:
 
 def _intercept_design(n: int, k: int) -> np.ndarray:
     """An n × (1 + k) design: the intercept column of ones, then k columns of
-    NaN for the caller to fill."""
+    NaN for the CLI's csv reader to fill, whose `_parse_column` stops at a
+    column's first bad cell and relies on the NaN after it."""
     design = np.full((n, 1 + k), np.nan)
     design[:, 0] = 1.0
     return design
@@ -139,8 +140,7 @@ class Dataset:
         names = None if feature_names is None else _name_tuple(feature_names)
         if names is not None and len(names) != k:
             raise ValueError(f"expected {k} feature names, got {len(names)}")
-        design = _intercept_design(n, k)
-        design[:, 1:] = feats
+        design = np.column_stack((np.ones(n), feats))
         return cls(design, labels, () if names is None else ("intercept", *names))
 
     @property

@@ -2,6 +2,7 @@
 and parity of `ingest` / `cmd_predict` with a row-major reference parse."""
 
 import codecs
+import contextlib
 import csv
 import itertools
 import json
@@ -856,8 +857,8 @@ def test_a_missing_column_on_the_loadtxt_reader_is_found_in_its_header(
 
 def test_an_undecodable_byte_in_a_skipped_cell_comes_before_a_missing_column(
         tmp_path, capsys, loadtxt_calls, csv_path_reads):
-    # numpy's side decodes the whole file before the command looks for a column, gives up
-    # on the byte, and the csv path reports it with its offset in the file
+    # the file's bytes are decoded whole as they are read, before either reader runs or the
+    # command looks for a column, and the error gives the byte's offset in the file
     data = b"id,x,z\ns1,1.5,1\ns2,-2,0\ns\xff3,0.5,1\n"
     path = tmp_path / "undecodable.csv"
     path.write_bytes(data)
@@ -869,7 +870,32 @@ def test_an_undecodable_byte_in_a_skipped_cell_comes_before_a_missing_column(
         del loadtxt_calls[:], csv_path_reads[:]
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", want), argv
-        assert (len(loadtxt_calls), len(csv_path_reads)) == (0, 1), argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (0, 0), argv
+
+
+@pytest.mark.parametrize("data", [
+    b"id,x,x,y\ns1,1.5,2,1\ns2,-2,0.5,0\n",
+    codecs.BOM_UTF8 + b"\r\nid, x ,x,y\r\ns1,1.5,2,1\r\ns2,-2,0.5,0\r\n",
+], ids=["plain", "BOM, CRLF, blank line, padded name"])
+def test_a_repeated_name_on_the_loadtxt_reader_is_found_in_its_header(
+        tmp_path, capsys, monkeypatch, loadtxt_calls, csv_path_reads, data):
+    # the header map refuses the name on numpy's side too, before either side reads a cell
+    path = tmp_path / "repeated.csv"
+    path.write_bytes(data)
+    path = str(path)
+    model = {"feature_names": ["intercept", "x"], "coef": {"intercept": 0.5, "x": -1.0}}
+    calls = [["fit", path], ["fit", path, "--features", "id"],
+             ["predict", path, "--model", write(tmp_path, "model.json", json.dumps(model))]]
+    want = ("", f"error: {path}: duplicate column names in header\n")
+    for argv in calls:
+        del loadtxt_calls[:], csv_path_reads[:]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == want, argv
+        assert (len(loadtxt_calls), len(csv_path_reads)) == (0, 0), argv
+    monkeypatch.setattr(cli, "_loadtxt_columns", lambda *_: None)
+    for argv in calls:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == want, argv
 
 
 # file bytes, the flags of fit, test and cv, or None for predict with a model of x and w,
@@ -935,3 +961,86 @@ def test_a_delimiter_outside_ascii_is_left_to_the_csv_path(tmp_path, monkeypatch
     assert data.feature_names == ("intercept", "x")
     assert data.design[:, 1].tolist() == [1.5, -2.0, 0.25]
     assert len(csv_reads) == 1
+
+
+# ---- every ASCII delimiter reads alike on both sides ------------------------
+
+# each character U+0001..U+007F but the quote and U+001C..U+001F, which send a file to
+# the csv path whatever the delimiter; CR and LF are declined by numpy's side up front
+SWEEP_DELIMITERS = [chr(c) for c in range(1, 0x80) if chr(c) != '"' and not 0x1c <= c <= 0x1f]
+
+
+def delimiter_table(rng, delimiter):
+    """A quote-free table of columns y, a, b and id in random order, split by
+    `delimiter`: LF or CRLF line ends, at times a BOM or blank lines, and per
+    table a rate of empty cells, cells padded with float()'s whitespace, and
+    rows one cell short or long. Returns the text and whether it has a header."""
+    columns = ["y", "a", "b", "id"]
+    rng.shuffle(columns)
+    rate = rng.choice([0.0, 0.0, 0.1, 0.3])
+
+    def cell(name, i):
+        text = f"s{i}" if name == "id" else rng.choice("01") if name == "y" else plain_number(rng)
+        if rng.random() < rate:
+            return rng.choice(["", f" {text}", f"{text}\t", f"\x0c{text} ", f"\x0b{text}"])
+        return text
+
+    has_header = rng.random() < 0.8
+    lines = [""] * rng.randint(0, 1) + [delimiter.join(columns)] * has_header
+    for i in range(rng.randint(1, 6)):
+        if rng.random() < 0.1:
+            lines.append("")
+        cells = [cell(name, i) for name in columns]
+        if rng.random() < rate / 3:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(delimiter.join(cells))
+    end = rng.choice(["\n", "\r\n"])
+    return ("\ufeff" if rng.random() < 0.2 else "") + end.join(lines) + end, has_header
+
+
+def test_every_ascii_delimiter_reads_alike_with_numpy_on_and_off(
+        tmp_path, monkeypatch, csv_path_reads):
+    def outcome_of(call):
+        try:
+            got = call()
+        except (DataError, UsageError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if isinstance(got, Dataset):
+            return got.feature_names, got.design.tobytes(), got.labels.tobytes()
+        return got.payload
+
+    loadtxt_columns = cli._loadtxt_columns
+    by_numpy = framed = 0
+    for n, delimiter in enumerate(SWEEP_DELIMITERS):
+        for seed in range(4):
+            rng = random.Random(n * 4 + seed)
+            text, has_header = delimiter_table(rng, delimiter)
+            path = str(tmp_path / f"s{n}-{seed}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            label, a, b = ("y", "a", "b") if has_header else ("col1", "col2", "col3")
+            features = rng.choice([None, (a,), (a, b)])
+            model = {"feature_names": ["intercept", a, b],
+                     "coef": {"intercept": 0.5, a: -1.0, b: 0.25}}
+            model_path = write(tmp_path, f"m{n}-{seed}.json", json.dumps(model))
+            calls = [lambda: ingest(CsvSpec(path, label, features, delimiter, has_header)),
+                     lambda: cmd_predict(model_path, path, 0.5, delimiter, has_header)]
+            for call in calls:
+                monkeypatch.setattr(cli, "_loadtxt_columns", loadtxt_columns)
+                before = len(csv_path_reads)
+                got = outcome_of(call)
+                by_numpy += len(csv_path_reads) == before
+                monkeypatch.setattr(cli, "_loadtxt_columns", lambda *_: None)
+                assert got == outcome_of(call), (repr(delimiter), text, features)
+            # a table numpy's side frames gives the csv path's header map, records and row numbers
+            spec, data = CsvSpec(path, label, None, delimiter, has_header), cli._read_bytes(path)
+            with contextlib.suppress(DataError):  # a repeated name, alike on both sides
+                if (read := loadtxt_columns(spec, data, lambda *_: [])) is not None:
+                    framed += 1
+                    column_of, records, numbers = cli._read_csv_rows(spec, data)
+                    assert read[0] == column_of, (repr(delimiter), text)
+                    assert [read[3](k) for k in range(len(records))] == [*zip(records, numbers)], \
+                        (repr(delimiter), text)
+    # a sweep in which numpy's side declined every table would compare the csv path with itself
+    assert by_numpy >= len(SWEEP_DELIMITERS) * 4, by_numpy
+    assert framed >= len(SWEEP_DELIMITERS) * 2, framed

@@ -66,6 +66,18 @@ class TestDataset:
         assert data.feature_names == ("intercept", "x1")
         assert data.n == 2 and data.n_coef == 2
 
+    @pytest.mark.parametrize("features, want", [
+        ([2.5, -1.0, 0.0], [[1.0, 2.5], [1.0, -1.0], [1.0, 0.0]]),
+        ([[True, False], [False, False], [True, True]],
+         [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+        (np.array([[3], [-7], [0]], dtype=np.int8), [[1.0, 3.0], [1.0, -7.0], [1.0, 0.0]]),
+        (np.empty((3, 0)), [[1.0], [1.0], [1.0]]),
+    ], ids=["1-D", "bool", "int", "no feature"])
+    def test_from_features_design_is_float64_bit_for_bit(self, features, want):
+        design = Dataset.from_features(features, [1, 0, 1]).design
+        assert design.dtype == np.float64 and design.flags.c_contiguous
+        assert design.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
     def test_intercept_only(self):
         data = Dataset.from_features(np.empty((3, 0)), [1, 0, 1])
         assert data.design.shape == (3, 1)
