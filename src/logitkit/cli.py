@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: fit, predict, test, cv, pressq,
 curve. Results go to stdout as json or tsv; diagnostics go to stderr.
 Exit codes: 0 for any computed result (a non-converged fit is a result),
-1 for usage errors, 2 for data validation errors.
+1 for usage errors, 2 for data validation errors, 141 (128 + SIGPIPE) when
+stdout is closed before the result is written, as by `| head`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -25,7 +27,7 @@ import numpy as np
 from .classify import _threshold_cut, evaluate_with_press_q, loocv
 from .fit import FitConfig, FitResult, fit_irls
 from .inference import FitNotConvergedError, lrt_nested, power_curve, press_q
-from .model import Dataset, _intercept_design, _logistic
+from .model import Dataset, _logistic
 from .numerics import _real
 
 
@@ -217,8 +219,8 @@ _LOADTXT_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
     """As `_read_columns`, the header map, the chosen names, their columns
-    behind the intercept column, parsed by np.loadtxt over the file's bytes
-    `data`, and `row`; None when the csv path must read them instead.
+    parsed by np.loadtxt over the file's bytes `data`, and `row`; None when
+    the csv path must read them instead.
 
     Every byte of `data`, which `_read_bytes` has checked, is checked before
     the header is mapped, so the csv path would find no file error before a
@@ -260,37 +262,37 @@ def _loadtxt_columns(spec: CsvSpec, data: bytes, pick):
         return None
     if len(table) != len(lines) - header:
         return None
-    matrix = np.column_stack((np.ones(len(table)), table))
     origin = lines[0] if header else -1  # data row r is line origin + r
-    return column_of, names, matrix, lambda k: (record(lines[header + k]), lines[header + k] - origin)
+    return column_of, names, table, lambda k: (record(lines[header + k]), lines[header + k] - origin)
 
 
 def _read_columns(spec: CsvSpec, data: bytes, pick):
     """The file's header map, the names that `pick(column_of, first_record)`
-    chooses, all of them header names, a float matrix of the intercept
-    column of ones followed by their columns, column k holding names[k - 1],
-    and row: a call that returns the record behind matrix row k and its data
-    row number, for an error that must name a row.
+    chooses, all of them header names, a float table of those columns alone,
+    column k holding names[k], with no intercept column, and row: a call that
+    returns the record behind table row k and its data row number, for an
+    error that must name a row.
 
     Both sides read bytes `_read_bytes` has checked and map the header with
     `_header_map`. `_loadtxt_columns` reads the columns when it can, its `row`
     splitting that one line; otherwise the csv path reads them, each column up
     to its first cell that is not a number, and `row` indexes its records. The
-    caller checks the matrix once, whichever side read it.
+    caller checks the table once, whichever side read it.
     """
     if (read := _loadtxt_columns(spec, data, pick)) is not None:
         return read
     column_of, records, numbers = _read_csv_rows(spec, data)
     names = pick(column_of, records[0])
-    matrix = _intercept_design(len(records), len(names))
-    for k, name in enumerate(names, 1):
-        _parse_column(records, column_of[name], matrix[:, k])
-    return column_of, names, matrix, lambda k: (records[k], numbers[k])
+    # NaN-filled: `_parse_column` stops at a column's first bad cell, whose NaN `_bad_cell` reads
+    table = np.full((len(records), len(names)), np.nan)
+    for k, name in enumerate(names):
+        _parse_column(records, column_of[name], table[:, k])
+    return column_of, names, table, lambda k: (records[k], numbers[k])
 
 
 def _bad_cell(row, column_of, names, bad) -> DataError:
     """The DataError of the first entry, row by row and in `names` order, that
-    a failed check's mask `bad` marks in the matrix columns of `names`. Only
+    a failed check's mask `bad` marks in the table columns of `names`. Only
     that cell of the record `row(k)` gives is parsed again, to name the failure:
     float() rejects it, it is not finite, or, finite, it is a label not 0 or 1."""
     k, c = divmod(int(np.argmax(bad)), len(names))
@@ -306,7 +308,7 @@ def _bad_cell(row, column_of, names, bad) -> DataError:
 
 
 def ingest(spec: CsvSpec) -> Dataset:
-    """Read a CSV into a Dataset, prepending the intercept column.
+    """Read a CSV into a Dataset; `Dataset.from_features` prepends the intercept.
 
     Cell-level failures raise DataError naming the 1-based data row and
     the column; the label column must parse to exactly 0 or 1. Row order
@@ -316,11 +318,11 @@ def ingest(spec: CsvSpec) -> Dataset:
     The label and feature columns come from `_read_columns`; `pick` reports
     a column the header lacks after the file's own errors, before any cell
     is parsed. The checks below, Dataset's own included, run once on that
-    matrix, and a failed one's own mask finds the cell `_bad_cell` names.
+    table, and a failed one's own mask finds the cell `_bad_cell` names.
     """
     label, features = spec.label_column, spec.feature_columns
 
-    def pick(column_of, first):  # the label goes last, so the design is the matrix up to it
+    def pick(column_of, first):  # the label goes last, so the features are the table up to it
         if label not in column_of:
             raise UsageError(f"label column {label!r} not found; file has {list(column_of)}")
         missing = [name for name in features or () if name not in column_of]
@@ -332,19 +334,19 @@ def ingest(spec: CsvSpec) -> Dataset:
                       if name != label and _parse_column([first], j, cell) and np.isfinite(cell[0])]
         return [*chosen, label]
 
-    column_of, names, matrix, row = _read_columns(spec, _read_bytes(spec.path), pick)
-    labels = matrix[:, -1]
+    column_of, names, table, row = _read_columns(spec, _read_bytes(spec.path), pick)
+    labels = table[:, -1]
     bad = (labels != 0.0) & (labels != 1.0)
     if bad.any():
         raise _bad_cell(row, column_of, [label], bad)
-    cells = np.isfinite(matrix[:, 1:-1])
+    cells = np.isfinite(table[:, :-1])
     if features is not None and not cells.all():
         raise _bad_cell(row, column_of, names[:-1], ~cells)
     finite = cells.all(axis=0)
     kept = [name for name, ok in zip(names, finite) if ok]
-    design = matrix[:, :-1] if finite.all() else np.compress(np.r_[True, finite, False], matrix, 1)
+    columns = table[:, :-1] if finite.all() else np.compress(np.r_[finite, False], table, 1)
     with _reraise(DataError):  # such as a column named intercept
-        return Dataset(design, labels, ("intercept", *kept))
+        return Dataset.from_features(columns, labels, kept)
 
 
 def _fit_payload(result: FitResult, names) -> dict:
@@ -484,8 +486,9 @@ def cmd_predict(
     """Score new rows with a fitted-model json: per-row probability and label.
 
     The model's feature columns come from `_read_columns`, as in `ingest`,
-    and no other column is read. Every cell and every score x·beta must be
-    finite; otherwise a DataError names the row, a cell's from the mask of
+    and no other column is read; the intercept's column of ones is added
+    only to score. Every cell and every score x·beta must be finite;
+    otherwise a DataError names the row, a cell's from the mask of
     non-finite cells. A model whose feature_names repeat a name is a DataError.
     """
     with _reraise(UsageError):
@@ -499,12 +502,12 @@ def cmd_predict(
         return names[1:]
 
     spec = CsvSpec(csv_path, delimiter=delimiter, has_header=has_header)
-    column_of, features, matrix, row = _read_columns(spec, _read_bytes(csv_path), pick)
-    cells = np.isfinite(matrix[:, 1:])
+    column_of, features, table, row = _read_columns(spec, _read_bytes(csv_path), pick)
+    cells = np.isfinite(table)
     if not cells.all():
         raise _bad_cell(row, column_of, features, ~cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = matrix @ beta
+        scores = np.column_stack((np.ones(len(table)), table)) @ beta
     finite = np.isfinite(scores)
     if not finite.all():
         raise DataError(f"row {row(finite.argmin())[1]}: score x·beta is not finite")
@@ -624,8 +627,12 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit:  # argparse has printed the help of -h or --help
             return 0
-        print(args.run(args).render())
+        print(args.run(args).render(), flush=True)
         return 0
     except (UsageError, DataError, FitNotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
+    except BrokenPipeError:  # the reader of stdout has gone, as with `| head`
+        # fd 1 stays devnull: the exit-time flush is silent, and this runs once a process
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

@@ -52,15 +52,6 @@ def _log_lik(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(-(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum())
 
 
-def _intercept_design(n: int, k: int) -> np.ndarray:
-    """An n × (1 + k) design: the intercept column of ones, then k columns of
-    NaN for the CLI's csv reader to fill, whose `_parse_column` stops at a
-    column's first bad cell and relies on the NaN after it."""
-    design = np.full((n, 1 + k), np.nan)
-    design[:, 0] = 1.0
-    return design
-
-
 def _name_tuple(names) -> tuple[str, ...]:
     """Feature names as a tuple of str; a lone str is not a sequence of names."""
     try:
@@ -125,7 +116,8 @@ class Dataset:
 
     @classmethod
     def from_features(cls, features, labels, feature_names=None) -> "Dataset":
-        """Build a dataset by prepending the intercept column to raw features.
+        """Build a dataset by prepending the intercept column to raw features,
+        the one place a Dataset's column of ones is built, `ingest`'s included.
 
         ``features`` is n x k (or length n for a single regressor); k = 0 is
         allowed and yields an intercept-only design. Without feature_names,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,3 +490,51 @@ def test_a_coefficient_that_is_not_a_json_number_is_data_error(tmp_path, capsys,
     assert capsys.readouterr() == ("", f"error: model file {model}: missing or malformed coef\n")
     write(tmp_path, "model.json", text % "0")  # a JSON integer is a number
     assert main(["predict", new, "--model", model]) == 0
+
+
+def test_an_intercept_only_design_reads_alike_on_both_readers(tmp_path, capsys, monkeypatch):
+    # auto-detection keeps no column of id, so each reader hands back an (n, 0) table
+    path = write(tmp_path, "ionly.csv", "id,y\na,0\nb,1\nc,1\nd,0\n")
+    model = write(tmp_path, "model.json",
+                  json.dumps({"feature_names": ["intercept"], "coef": {"intercept": 0.25}}))
+    calls = [["fit", path], ["fit", path, "--features", ""], ["cv", path],
+             ["predict", path, "--model", model]]
+    csv_reads = []
+    read_rows = cli._read_csv_rows
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda spec, data: csv_reads.append(spec) or read_rows(spec, data))
+    outputs = []
+    for numpy_off in (False, True):
+        if numpy_off:
+            monkeypatch.setattr(cli, "_loadtxt_columns", lambda *_: None)
+        for argv in calls:
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.err == "", argv
+            outputs.append(captured.out)
+        assert len(csv_reads) == (len(calls) if numpy_off else 0)
+    assert outputs[:len(calls)] == outputs[len(calls):]
+    for argv, out in zip(calls, outputs):
+        if argv[0] != "cv":
+            assert json.loads(out)["feature_names"] == ["intercept"], argv
+    assert json.loads(outputs[2])["n"] == 4
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path):
+    # 128 + SIGPIPE, the status a shell reports for `yes | head`, and no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    logitkit = [sys.executable, "-m", "logitkit"]
+    path = write(tmp_path, "smoke.csv", "x,y\n1,0\n2,1\n3,0\n4,1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # stdout is closed before fit writes
+    with open(write_end, "wb") as closed:
+        fit = subprocess.run([*logitkit, "fit", path], stdout=closed, stderr=subprocess.PIPE,
+                             env=env, timeout=120)
+    assert (fit.returncode, fit.stderr) == (141, b"")
+    # a payload larger than the pipe's buffer, whose reader leaves after 20 bytes
+    with subprocess.Popen([*logitkit, "curve", "--n", "200", "--grid-points", "50000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as curve:
+        assert len(curve.stdout.read(20)) == 20
+        curve.stdout.close()
+        assert curve.communicate(timeout=120)[1] == b""
+        assert curve.returncode == 141
